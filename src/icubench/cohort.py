@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .phenotypes import PhenotypeCatalog
 from .schema import DischargeStatus, HourlyGrid, StayMeta, Task, TaskInstance
 
@@ -72,19 +70,6 @@ def schedule_points(n_hours: int, stop_before_hours: float | None = None) -> lis
         points.append(t)
         t += SLIDE_HOURS
     return points
-
-
-@dataclass(frozen=True)
-class WindowSchedule:
-    """The rolling-window schedule realized for one stay."""
-
-    derivation_hours: int = DERIVATION_HOURS
-    slide_hours: int = SLIDE_HOURS
-    points: tuple[int, ...] = ()
-
-    @classmethod
-    def for_stay(cls, n_hours: int, stop_before_hours: float | None = None) -> "WindowSchedule":
-        return cls(points=tuple(schedule_points(n_hours, stop_before_hours)))
 
 
 def build_mortality_instances(

@@ -192,34 +192,23 @@ class TTestResult:
         return "-"
 
 
-def t_test(values_a: Sequence[float], values_b: Sequence[float], paired: bool = False) -> TTestResult:
-    """Two-tailed t-test: Welch's unpaired by default, paired on request.
+def t_test(values_a: Sequence[float], values_b: Sequence[float]) -> TTestResult:
+    """Two-tailed Welch's unpaired t-test.
 
-    The p-value comes from the regularized incomplete beta function
-    (Welch-Satterthwaite degrees of freedom in the unpaired case, n-1 when
-    pairing matched values such as per-fold metrics).
+    The p-value comes from the regularized incomplete beta function with
+    Welch-Satterthwaite degrees of freedom.
     """
     a = np.asarray(values_a, dtype=np.float64)
     b = np.asarray(values_b, dtype=np.float64)
     if len(a) < 2 or len(b) < 2:
         raise UndefinedMetricError("t-test needs >= 2 values per sample")
-    if paired:
-        if len(a) != len(b):
-            raise UndefinedMetricError("paired t-test needs samples of equal length")
-        d = a - b
-        sd = float(d.std(ddof=1))
-        if sd == 0.0:
-            return _degenerate_t(float(d.mean()))
-        t_stat = d.mean() / (sd / math.sqrt(len(d)))
-        df = len(d) - 1.0
-    else:
-        va = a.var(ddof=1) / len(a)
-        vb = b.var(ddof=1) / len(b)
-        diff = a.mean() - b.mean()
-        if va + vb == 0.0:
-            return _degenerate_t(float(diff))
-        t_stat = diff / math.sqrt(va + vb)
-        df = (va + vb) ** 2 / (va**2 / (len(a) - 1) + vb**2 / (len(b) - 1))
+    va = a.var(ddof=1) / len(a)
+    vb = b.var(ddof=1) / len(b)
+    diff = a.mean() - b.mean()
+    if va + vb == 0.0:
+        return _degenerate_t(float(diff))
+    t_stat = diff / math.sqrt(va + vb)
+    df = (va + vb) ** 2 / (va**2 / (len(a) - 1) + vb**2 / (len(b) - 1))
     p = float(special.betainc(df / 2.0, 0.5, df / (df + t_stat**2)))
     return TTestResult(t=float(t_stat), p=p, significant_05=p < 0.05, significant_10=p < 0.1)
 

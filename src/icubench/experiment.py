@@ -23,13 +23,12 @@ import numpy as np
 from . import cohort as cohort_mod
 from . import evaluation
 from .errors import ConfigError, DataError, IcubenchError
-from .gridcache import GridCache, content_key
 from .ingestion import TABLE_FILES, load_dataset
 from .neural import build_model, predict_scores, train_model
 from .neural.checkpoint import save_checkpoint, schema_hash
 from .neural.training import InstanceGroup
 from .phenotypes import PhenotypeCatalog
-from .preprocessing import BinPolicy, build_stay_grid, build_vocabs, encode_categoricals, oversample
+from .preprocessing import build_stay_grid, build_vocabs, encode_categoricals, oversample
 from .schema import (
     CATEGORICAL_VARIABLES,
     DischargeStatus,
@@ -85,7 +84,6 @@ class ExperimentConfig:
     oversample_train: bool = True
     normal_values_file: str = ""
     phenotype_map: str = ""
-    cache_dir: str = ""
     save_models: bool = False
 
     def __post_init__(self):
@@ -378,20 +376,11 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     dataset = load_dataset(data_dir, schema)
 
     base = cohort_mod.select_base_cohort(list(dataset.metas.values()), dataset.record_counts)
-    policy = BinPolicy(max_hours=cfg.max_hours)
-
-    cache = None
-    if cfg.cache_dir:
-        key = content_key([data_dir / f for f in TABLE_FILES.values() if (data_dir / f).exists()], policy)
-        cache = GridCache(cfg.cache_dir, key)
-    grids = {}
-    for stay_id in base.included:
-        grid = cache.get(stay_id) if cache else None
-        if grid is None:
-            grid = build_stay_grid(dataset.metas[stay_id], dataset.records_by_stay.get(stay_id, []), schema, policy)
-            if cache:
-                cache.put(grid)
-        grids[stay_id] = grid
+    grids = {
+        stay_id: build_stay_grid(dataset.metas[stay_id], dataset.records_by_stay.get(stay_id, []), schema,
+                                 cfg.max_hours)
+        for stay_id in base.included
+    }
 
     catalog = None
     map_path = Path(cfg.phenotype_map) if cfg.phenotype_map else data_dir / "phenotype_map.csv"

@@ -1,9 +1,11 @@
 """Readers for eICU-shaped CSV tables (patient, lab, nurseCharting, diagnosis).
 
-Long tables (lab, nurseCharting) are streamed row by row so peak memory does
-not depend on file length; grouping records per stay is an explicit barrier
-the caller opts into.  Measurement values are kept verbatim as strings;
-parsing is the binning step's job.
+Long tables (lab, nurseCharting) are streamed row by row by load_records, so
+its peak memory does not depend on file length; load_dataset groups the
+stream per stay and so holds every kept row.  Rows with missing cells are
+counted as malformed and skipped; a file that is not UTF-8 is a data error.
+Measurement values are kept verbatim as strings; parsing is the binning
+step's job.
 
 Where the source data offers the same variable under several labels, the
 default alias map below documents the choice: vitals, GCS components,
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -136,6 +138,10 @@ def table_source(data_dir, table: str) -> TableSource:
     return TableSource(path=Path(data_dir) / TABLE_FILES[table], table=table)
 
 
+#: Messages IngestionReport.render prints before summarizing the rest.
+MAX_MESSAGES = 200
+
+
 @dataclass
 class IngestionReport:
     """Row counters per table, split by what happened to each row."""
@@ -160,20 +166,27 @@ class IngestionReport:
             )
         if self.messages:
             lines.append("")
-            lines.extend(self.messages[:200])
+            lines.extend(self.messages[:MAX_MESSAGES])
+            if len(self.messages) > MAX_MESSAGES:
+                lines.append(f"{len(self.messages) - MAX_MESSAGES} more messages suppressed")
         return "\n".join(lines) + "\n"
 
 
+@contextmanager
 def _open_reader(src: TableSource):
+    """A DictReader over the file; undecodable bytes become a DataError."""
     try:
         fh = open(src.path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {src.path}: {exc}") from exc
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is None:
-        fh.close()
-        raise SchemaError(f"{src.path}: empty file, expected a header row")
-    return fh, reader
+    with fh:
+        try:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise SchemaError(f"{src.path}: empty file, expected a header row")
+            yield reader
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{src.path}: not valid UTF-8 after line {reader.line_num} ({exc.reason})") from exc
 
 
 def _require_columns(src: TableSource, fieldnames: Sequence[str], required_targets: Iterable[str]) -> None:
@@ -217,14 +230,15 @@ def load_stay_meta(src: TableSource, report: IngestionReport | None = None) -> l
     if src.table != PATIENT:
         raise SchemaError(f"load_stay_meta expects a patient source, got {src.table!r}")
     report = report if report is not None else IngestionReport()
-    fh, reader = _open_reader(src)
-    _require_columns(src, reader.fieldnames, REQUIRED_META_FIELDS)
-    inverse = {t: c for c, t in src.column_map.items() if c in reader.fieldnames}
     metas: list[StayMeta] = []
-    with fh:
+    with _open_reader(src) as reader:
+        _require_columns(src, reader.fieldnames, REQUIRED_META_FIELDS)
+        inverse = {t: c for c, t in src.column_map.items() if c in reader.fieldnames}
         for row in reader:
             report.bump(report.rows_read, PATIENT)
             try:
+                if None in row.values():
+                    raise ValueError("row has missing cells")
                 stay_id = int(row[inverse["stay_id"]])
                 offset = int(row[inverse["unit_discharge_offset_minutes"]])
                 if offset <= 0:
@@ -268,12 +282,14 @@ def load_records(
         raise SchemaError(f"load_records expects lab or nursecharting, got {src.table!r}")
     report = report if report is not None else IngestionReport()
     schema_names = {s.name for s in schema}
-    fh, reader = _open_reader(src)
-    _require_columns(src, reader.fieldnames, ("stay_id", "offset_minutes", "variable", "value"))
-    inverse = {t: c for c, t in src.column_map.items() if c in reader.fieldnames}
-    with fh:
+    with _open_reader(src) as reader:
+        _require_columns(src, reader.fieldnames, ("stay_id", "offset_minutes", "variable", "value"))
+        inverse = {t: c for c, t in src.column_map.items() if c in reader.fieldnames}
         for row in reader:
             report.bump(report.rows_read, src.table)
+            if None in row.values():
+                report.bump(report.rows_malformed, src.table)
+                continue
             variable = src.variable_map.get(row[inverse["variable"]].strip())
             if variable is None or variable not in schema_names:
                 report.bump(report.rows_unmapped_variable, src.table)
@@ -297,13 +313,15 @@ def load_diagnoses(src: TableSource, report: IngestionReport | None = None) -> d
     if src.table != DIAGNOSIS:
         raise SchemaError(f"load_diagnoses expects a diagnosis source, got {src.table!r}")
     report = report if report is not None else IngestionReport()
-    fh, reader = _open_reader(src)
-    _require_columns(src, reader.fieldnames, ("stay_id", "code"))
-    inverse = {t: c for c, t in src.column_map.items() if c in reader.fieldnames}
     codes: dict[int, set[str]] = {}
-    with fh:
+    with _open_reader(src) as reader:
+        _require_columns(src, reader.fieldnames, ("stay_id", "code"))
+        inverse = {t: c for c, t in src.column_map.items() if c in reader.fieldnames}
         for row in reader:
             report.bump(report.rows_read, DIAGNOSIS)
+            if None in row.values():
+                report.bump(report.rows_malformed, DIAGNOSIS)
+                continue
             try:
                 stay_id = int(row[inverse["stay_id"]])
             except ValueError:
@@ -317,21 +335,6 @@ def load_diagnoses(src: TableSource, report: IngestionReport | None = None) -> d
             codes.setdefault(stay_id, set()).update(parsed)
             report.bump(report.rows_kept, DIAGNOSIS)
     return {sid: frozenset(cs) for sid, cs in codes.items()}
-
-
-def group_records(records: Iterable[StayRecordRaw]) -> dict[int, list[StayRecordRaw]]:
-    """Collect a record stream per stay (this is the streaming barrier)."""
-    grouped: dict[int, list[StayRecordRaw]] = {}
-    for rec in records:
-        grouped.setdefault(rec.stay_id, []).append(rec)
-    return grouped
-
-
-def count_records(records: Iterable[StayRecordRaw]) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for rec in records:
-        counts[rec.stay_id] = counts.get(rec.stay_id, 0) + 1
-    return counts
 
 
 @dataclass

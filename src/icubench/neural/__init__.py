@@ -1,9 +1,9 @@
 from .adam import Adam
-from .embedding import EmbeddingTable, embed
+from .embedding import EmbeddingTable
 from .functional import bce_loss, mse_loss, relu, sigmoid, task_loss
 from .gradcheck import GradCheckResult, grad_check
 from .lstm import BiLstm, EncoderState
-from .models import TaskHead, build_model, embedding_dims, head_forward
+from .models import build_model, embedding_dims
 from .training import make_epoch_batches, predict_scores, train_model
 
 __all__ = [
@@ -12,13 +12,10 @@ __all__ = [
     "EmbeddingTable",
     "EncoderState",
     "GradCheckResult",
-    "TaskHead",
     "bce_loss",
     "build_model",
-    "embed",
     "embedding_dims",
     "grad_check",
-    "head_forward",
     "make_epoch_batches",
     "mse_loss",
     "predict_scores",

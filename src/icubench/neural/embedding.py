@@ -7,7 +7,7 @@ exactly when the embedding is identity-initialized.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -68,8 +68,3 @@ class EmbeddingTable:
             grads[name] = grad
             offset += d
         return grads
-
-
-def embed(cat_indices: Sequence[int], tables: EmbeddingTable) -> np.ndarray:
-    """Single-timestep lookup: one index per categorical variable."""
-    return tables.forward(np.asarray(cat_indices, dtype=np.int64)[None, :])[0]

@@ -11,7 +11,6 @@ the sequence model sees, embeddings included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -30,30 +29,6 @@ EMBEDDING = "embedding"
 def embedding_dims(vocab_sizes: Mapping[str, int], cap: int = 50) -> dict[str, int]:
     """Default entity-embedding widths: min(cap, ceil(vocab/2))."""
     return {name: min(cap, math.ceil(size / 2)) for name, size in vocab_sizes.items()}
-
-
-@dataclass(frozen=True, eq=False)
-class TaskHead:
-    """Affine head parameters: W [out x rep_width], b [out]."""
-
-    W: np.ndarray
-    b: np.ndarray
-
-
-def head_forward(rep: np.ndarray, head: TaskHead, task: Task) -> np.ndarray:
-    """Apply a head to representations [B x rep_width] (or a single vector)."""
-    single = rep.ndim == 1
-    rep2 = rep[None, :] if single else rep
-    if rep2.shape[1] != head.W.shape[1]:
-        raise ValueError(f"representation width {rep2.shape[1]} != head width {head.W.shape[1]}")
-    z = rep2 @ head.W.T + head.b
-    if task == Task.LOS:
-        out = relu(z[:, 0])
-    elif task == Task.PHENOTYPING:
-        out = sigmoid(z)
-    else:
-        out = sigmoid(z[:, 0])
-    return out[0] if single else out
 
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -97,8 +72,8 @@ class BaseModel:
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
     def _emb_grads(self, dx: np.ndarray, cat: np.ndarray | None) -> dict[str, np.ndarray]:
-        if self.emb is None:
-            return {}
+        if self.emb is None or not self.emb.trainable:
+            return {}  # frozen tables (OHE included) take no update, so skip the scatter
         offset = N_NUMERIC if self.use_numeric else 0
         return {f"emb/{name}": g for name, g in self.emb.backward(cat, dx[..., offset:]).items()}
 
@@ -225,11 +200,6 @@ class BilstmModel(BaseModel):
 
     def _core_backward(self, drep, cache):
         return self.bilstm.backward(cache, d_summary=drep)
-
-    def encode(self, num, cat):
-        """Expose the full EncoderState (all h_t plus summary)."""
-        state, _ = self.bilstm.forward(self._assemble(num, cat))
-        return state
 
 
 _KINDS = {"lr": LinearModel, "ann": AnnModel, "bilstm": BilstmModel}

@@ -12,7 +12,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 ACUTE = "acute"
 CHRONIC = "chronic"
@@ -58,14 +58,6 @@ class PhenotypeCatalog:
     """Ordered category names plus an injective ICD-9 code map."""
 
     code_map: Mapping[str, int] = field(default_factory=dict)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in PHENOTYPE_CATEGORIES)
-
-    @property
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(kind for _, kind in PHENOTYPE_CATEGORIES)
 
     def label_mask(self, codes: Iterable[str]) -> np.ndarray:
         """25-bit mask with bit n set iff any code maps to category n."""
@@ -116,10 +108,3 @@ class PhenotypeCatalog:
             fh.write("icd9code,category_index\n")
             for code in sorted(self.code_map):
                 fh.write(f"{code},{self.code_map[code]}\n")
-
-
-def category_counts() -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for _, kind in PHENOTYPE_CATEGORIES:
-        counts[kind] = counts.get(kind, 0) + 1
-    return counts

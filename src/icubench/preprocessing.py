@@ -15,7 +15,7 @@ built from training folds only) via encode_categoricals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,29 +35,6 @@ from .schema import (
     grid_hours,
 )
 
-AGG_MEAN_FALLBACK = "mean_fallback"
-AGG_LAST_VALID = "last_valid"
-IMPUTE_CARRY = "carry_forward_then_normal"
-IMPUTE_NORMAL_ONLY = "normal_only"
-
-
-@dataclass(frozen=True)
-class BinPolicy:
-    """Binning and imputation knobs; the defaults are the canonical setup."""
-
-    bin_minutes: int = 60
-    aggregator: str = AGG_MEAN_FALLBACK
-    impute: str = IMPUTE_CARRY
-    max_hours: int = DEFAULT_MAX_GRID_HOURS
-
-    def __post_init__(self):
-        if self.aggregator not in (AGG_MEAN_FALLBACK, AGG_LAST_VALID):
-            raise ConfigError(f"unknown aggregator {self.aggregator!r}")
-        if self.impute not in (IMPUTE_CARRY, IMPUTE_NORMAL_ONLY):
-            raise ConfigError(f"unknown imputation mode {self.impute!r}")
-        if self.bin_minutes <= 0 or self.max_hours <= 0:
-            raise ConfigError("bin_minutes and max_hours must be positive")
-
 
 def _try_parse(value: str) -> float | None:
     try:
@@ -67,12 +44,7 @@ def _try_parse(value: str) -> float | None:
     return v if math.isfinite(v) else None
 
 
-def bin_hourly(
-    records: Sequence[StayRecordRaw],
-    n_hours: int,
-    schema: Sequence[VariableSpec],
-    policy: BinPolicy = BinPolicy(),
-) -> HourlyGrid:
+def bin_hourly(records: Sequence[StayRecordRaw], n_hours: int, schema: Sequence[VariableSpec]) -> HourlyGrid:
     """Aggregate one stay's records onto the hourly grid (pre-imputation).
 
     ``records`` must be sorted by offset (stable order within ties decides
@@ -93,7 +65,7 @@ def bin_hourly(
     for rec in records:
         if rec.offset_minutes < 0:
             continue
-        hour = rec.offset_minutes // policy.bin_minutes
+        hour = rec.offset_minutes // 60
         if hour >= n_hours:
             continue
         j = num_index.get(rec.variable)
@@ -114,16 +86,13 @@ def bin_hourly(
             earlier = [p for p in parsed if p is not None]
             if not earlier:
                 continue
-            if policy.aggregator == AGG_MEAN_FALLBACK:
-                numeric[hour, j] = sum(earlier) / len(earlier)
-            else:
-                numeric[hour, j] = earlier[-1]
+            numeric[hour, j] = sum(earlier) / len(earlier)
             mask[hour, j] = True
 
     return HourlyGrid(stay_id=stay_id, numeric=numeric, cat_labels=cat_labels, observed_mask=mask)
 
 
-def impute(grid: HourlyGrid, schema: Sequence[VariableSpec], policy: BinPolicy = BinPolicy()) -> HourlyGrid:
+def impute(grid: HourlyGrid, schema: Sequence[VariableSpec]) -> HourlyGrid:
     """Fill every cell: carry forward, then normal value / "unknown".
 
     The observed mask is preserved unchanged.
@@ -135,24 +104,22 @@ def impute(grid: HourlyGrid, schema: Sequence[VariableSpec], policy: BinPolicy =
 
     for j, spec in enumerate(num_specs):
         col = numeric[:, j]
-        if policy.impute == IMPUTE_CARRY:
-            last = np.nan
-            for h in range(n):
-                if math.isnan(col[h]):
-                    col[h] = last
-                else:
-                    last = col[h]
+        last = np.nan
+        for h in range(n):
+            if math.isnan(col[h]):
+                col[h] = last
+            else:
+                last = col[h]
         np.copyto(col, spec.normal_value, where=np.isnan(col))
 
     for k in range(cat_labels.shape[1]):
         col = cat_labels[:, k]
-        if policy.impute == IMPUTE_CARRY:
-            last = ""
-            for h in range(n):
-                if col[h] == "":
-                    col[h] = last
-                else:
-                    last = col[h]
+        last = ""
+        for h in range(n):
+            if col[h] == "":
+                col[h] = last
+            else:
+                last = col[h]
         col[col == ""] = UNKNOWN
 
     return HourlyGrid(
@@ -182,14 +149,13 @@ def build_stay_grid(
     meta: StayMeta,
     records: Sequence[StayRecordRaw],
     schema: Sequence[VariableSpec],
-    policy: BinPolicy = BinPolicy(),
+    max_hours: int = DEFAULT_MAX_GRID_HOURS,
 ) -> HourlyGrid:
     """Bin and impute one stay, injecting the demographic pseudo records."""
     merged = meta_records(meta) + list(records)
     merged.sort(key=lambda r: r.offset_minutes)  # stable: ties keep input order
-    n_hours = grid_hours(meta.unit_discharge_offset_minutes, policy.max_hours)
-    grid = bin_hourly(merged, n_hours, schema, policy)
-    return impute(grid, schema, policy)
+    n_hours = grid_hours(meta.unit_discharge_offset_minutes, max_hours)
+    return impute(bin_hourly(merged, n_hours, schema), schema)
 
 
 def _vocab_sort_key(value: str):

@@ -138,10 +138,6 @@ def categorical_specs(schema: Sequence[VariableSpec]) -> list[VariableSpec]:
     return [s for s in schema if s.kind == CATEGORICAL]
 
 
-def numerical_specs(schema: Sequence[VariableSpec]) -> list[VariableSpec]:
-    return [s for s in schema if s.kind == NUMERICAL]
-
-
 def total_ohe_width(schema: Sequence[VariableSpec]) -> int:
     """Sum of vocabulary sizes over the categorical variables (one-hot width)."""
     cats = categorical_specs(schema)
@@ -161,24 +157,6 @@ def apply_vocabs(schema: Sequence[VariableSpec], vocabs: Mapping[str, Sequence[s
         else:
             out.append(s)
     return out
-
-
-def write_schema_file(path, schema: Sequence[VariableSpec]) -> None:
-    """Serialize the schema (and normal-value table) as human-readable JSON."""
-    doc = {
-        "variables": [
-            {
-                "name": s.name,
-                "kind": s.kind,
-                **({"normal_value": s.normal_value} if s.kind == NUMERICAL else {}),
-                **({"vocab": list(s.vocab)} if s.vocab is not None else {}),
-            }
-            for s in schema
-        ]
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def read_normal_values(path) -> dict[str, float]:

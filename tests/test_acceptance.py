@@ -31,7 +31,7 @@ from icubench.evaluation import (
 from icubench.experiment import ExperimentConfig, report_json, run_experiment
 from icubench.ingestion import load_dataset
 from icubench.neural import bce_loss, build_model, grad_check
-from icubench.preprocessing import BinPolicy, bin_hourly, build_stay_grid, build_vocabs, encode_categoricals
+from icubench.preprocessing import bin_hourly, build_stay_grid, build_vocabs, encode_categoricals
 from icubench.schema import (
     CATEGORICAL_VARIABLES,
     NUMERICAL_VARIABLES,

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from icubench.cli import main
+from icubench.synth import SynthConfig, generate
 
 
 class TestSynthCommand:
@@ -29,6 +30,26 @@ class TestCohortCommand:
         assert main(["cohort", "--data-dir", str(small_dump), "--out", str(tmp_path / "audit")]) == 0
         assert (tmp_path / "audit" / "cohort_report.txt").exists()
         assert (tmp_path / "audit" / "ingestion_report.txt").exists()
+
+
+class TestBadInput:
+    @pytest.fixture
+    def tiny_dump(self, tmp_path):
+        generate(SynthConfig(n_patients=30, seed=5), tmp_path / "d")
+        return tmp_path / "d"
+
+    def test_short_row_is_counted_not_fatal(self, tiny_dump, capsys):
+        with open(tiny_dump / "nurseCharting.csv", "a", encoding="utf-8") as fh:
+            fh.write("123\n")
+        assert main(["cohort", "--data-dir", str(tiny_dump)]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("nursecharting"))
+        assert line.endswith("malformed=1")
+
+    def test_undecodable_byte_is_data_error(self, tiny_dump, capsys):
+        with open(tiny_dump / "lab.csv", "ab") as fh:
+            fh.write(b"7,95,pH,7.3\xff\n")
+        assert main(["cohort", "--data-dir", str(tiny_dump)]) == 3
+        assert "lab.csv" in capsys.readouterr().err
 
 
 class TestRunCommand:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from icubench.cohort import (
-    WindowSchedule,
     build_decomp_instances,
     build_los_instances,
     build_mortality_instances,
@@ -156,11 +155,7 @@ class TestScheduleLaw:
     def test_no_partial_final_point(self):
         assert schedule_points(17) == [12]  # 18 would need hour 18 to exist
         assert schedule_points(19) == [12, 18]
-
-    def test_window_schedule_type(self):
-        ws = WindowSchedule.for_stay(30)
-        assert ws.derivation_hours == 12 and ws.slide_hours == 6
-        assert ws.points == (12, 18, 24)
+        assert schedule_points(30) == [12, 18, 24]
 
 
 class TestPhenotyping:

@@ -138,14 +138,6 @@ class TestRunExperiment:
         with pytest.raises(IcubenchError):
             _check(False, "boom")
 
-    def test_grid_cache_reuse_is_equivalent(self, small_dump, tmp_path):
-        cache_dir = tmp_path / "cache"
-        cfg = self._cfg(small_dump, tmp_path, cache_dir=str(cache_dir))
-        cold = report_json(run_experiment(cfg))
-        assert any(cache_dir.rglob("stay_*.grid"))
-        warm = report_json(run_experiment(cfg))
-        assert cold == warm
-
     def test_save_models_writes_loadable_checkpoints(self, small_dump, tmp_path):
         from icubench.neural.checkpoint import MAGIC
 

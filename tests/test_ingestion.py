@@ -140,3 +140,24 @@ class TestDiagnoses:
         diagnoses = load_diagnoses(TableSource(path=path, table="diagnosis"))
         assert len(diagnoses) == 3
         assert len(frozenset().union(*diagnoses.values())) == 5
+
+
+class TestReport:
+    def test_short_rows_counted_as_malformed(self, tmp_path):
+        report = IngestionReport()
+        patient = write(tmp_path / "patient.csv",
+                        [PATIENT_HEADER, "8,1002,45,Male,Hispanic,Trauma,Alive,1500,2000", "9,1003"])
+        lab = write(tmp_path / "lab.csv",
+                    ["patientunitstayid,labresultoffset,labname,labresult", "7,95,pH,7.31", "7,96"])
+        diagnosis = write(tmp_path / "diagnosis.csv", ["patientunitstayid,icd9code", "7,038.9", "9"])
+        assert len(load_stay_meta(TableSource(path=patient, table="patient"), report)) == 1
+        assert len(list(load_records(TableSource(path=lab, table="lab"), canonical_schema(), report))) == 1
+        assert list(load_diagnoses(TableSource(path=diagnosis, table="diagnosis"), report)) == [7]
+        assert report.rows_malformed == {"patient": 1, "lab": 1, "diagnosis": 1}
+
+    def test_render_says_how_many_messages_were_cut(self):
+        report = IngestionReport(messages=[f"message {i}" for i in range(205)])
+        lines = report.render().splitlines()
+        assert "message 199" in lines and "message 200" not in lines
+        assert lines[-1] == "5 more messages suppressed"
+        assert "suppressed" not in IngestionReport(messages=["only one"]).render()

@@ -7,13 +7,10 @@ from icubench.errors import SchemaError, TrainingError
 from icubench.neural import (
     Adam,
     EmbeddingTable,
-    TaskHead,
     bce_loss,
     build_model,
-    embed,
     embedding_dims,
     grad_check,
-    head_forward,
     mse_loss,
     train_model,
 )
@@ -41,13 +38,13 @@ def small_batch(rng, task, T=6, B=3, n_num=13):
 class TestEmbedding:
     def test_identity_equals_one_hot(self):
         emb = EmbeddingTable.identity({"A": 4, "B": 3})
-        out = embed([2, 0], emb)
+        out = emb.forward(np.array([[2, 0]]))[0]
         expected = np.concatenate([np.eye(4)[2], np.eye(3)[0]])
         assert np.array_equal(out, expected)
 
     def test_zero_tables_give_zero_vector(self):
         emb = EmbeddingTable({"A": np.zeros((4, 2)), "B": np.zeros((3, 2))})
-        assert np.array_equal(embed([1, 2], emb), np.zeros(4))
+        assert np.array_equal(emb.forward(np.array([[1, 2]]))[0], np.zeros(4))
 
     def test_unselected_rows_get_zero_gradient(self):
         rng = np.random.default_rng(0)
@@ -85,29 +82,36 @@ class TestLosses:
         assert loss == 0.0 and np.all(grad == 0.0)
 
 
+def head_model(task, W, b):
+    """A model whose head parameters are set to W and b."""
+    model = build_model("lr", task, np.random.default_rng(0))
+    model.params["head/W"], model.params["head/b"] = W, b
+    return model
+
+
 class TestHeads:
     def test_zero_head_is_half(self):
-        head = TaskHead(W=np.zeros((1, 6)), b=np.zeros(1))
-        assert head_forward(np.ones(6), head, Task.MORTALITY) == 0.5
+        model = head_model(Task.MORTALITY, np.zeros((1, 6)), np.zeros(1))
+        assert model._head_out(np.ones((1, 6)))[1][0] == 0.5
 
     def test_los_head_clamps_negative(self):
-        head = TaskHead(W=np.full((1, 4), -0.5), b=np.zeros(1))
-        assert head_forward(np.ones(4), head, Task.LOS) == 0.0
+        model = head_model(Task.LOS, np.full((1, 4), -0.5), np.zeros(1))
+        assert model._head_out(np.ones((1, 4)))[1][0] == 0.0
 
     def test_phenotyping_zero_head_outputs_25_halves(self):
-        head = TaskHead(W=np.zeros((25, 6)), b=np.zeros(25))
-        out = head_forward(np.ones((2, 6)), head, Task.PHENOTYPING)
+        model = head_model(Task.PHENOTYPING, np.zeros((25, 6)), np.zeros(25))
+        out = model._head_out(np.ones((2, 6)))[1]
         assert out.shape == (2, 25) and np.all(out == 0.5)
 
     def test_width_mismatch(self):
-        head = TaskHead(W=np.zeros((1, 6)), b=np.zeros(1))
+        model = head_model(Task.MORTALITY, np.zeros((1, 6)), np.zeros(1))
         with pytest.raises(ValueError):
-            head_forward(np.ones(5), head, Task.MORTALITY)
+            model._head_out(np.ones((1, 5)))
 
     def test_sigmoid_outputs_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(0)
-        head = TaskHead(W=rng.normal(size=(1, 6)), b=rng.normal(size=1))
-        out = head_forward(rng.normal(size=(100, 6)) * 5, head, Task.DECOMPENSATION)
+        model = head_model(Task.DECOMPENSATION, rng.normal(size=(1, 6)), rng.normal(size=1))
+        out = model._head_out(rng.normal(size=(100, 6)) * 5)[1]
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
@@ -188,6 +192,14 @@ class TestEncodingEquivalence:
         train_model(a, [group], epochs=3, batch_size=2, rng=np.random.default_rng(1))
         train_model(b, [group], epochs=3, batch_size=2, rng=np.random.default_rng(1))
         assert np.array_equal(a.predict(num, cat), b.predict(num, cat))
+
+    def test_frozen_tables_get_no_gradient(self):
+        num, cat, labels = small_batch(np.random.default_rng(5), Task.MORTALITY)
+        for encoding, expect_emb_grads in (("ohe", False), ("embedding", True)):
+            model = build_model("lr", Task.MORTALITY, np.random.default_rng(0), vocab_sizes=VOCABS,
+                                encoding=encoding)
+            _, grads, _ = model.loss_and_grads(num, cat, labels)
+            assert any(k.startswith("emb/") for k in grads) == expect_emb_grads
 
     def test_categorical_only_width(self):
         model = build_model("lr", Task.MORTALITY, np.random.default_rng(0),

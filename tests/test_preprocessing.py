@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from _reference import ref_bin
-from icubench.gridcache import GridCache, content_key, read_grid, write_grid
 from icubench.preprocessing import (
-    BinPolicy,
     bin_hourly,
     build_stay_grid,
     build_vocabs,
@@ -136,13 +134,6 @@ class TestImpute:
         col = list(grid.cat_labels[:, CAT_INDEX["Glasgow Coma Score Total"]])
         assert col == [UNKNOWN, UNKNOWN, "14", "14"]
 
-    def test_normal_only_mode(self):
-        policy = BinPolicy(impute="normal_only")
-        records = [rec("Heart rate", 0, "80")]
-        grid = impute(bin_hourly(records, 3, SCHEMA, policy), SCHEMA, policy)
-        hr = grid.numeric[:, NUM_INDEX["Heart rate"]]
-        assert list(hr) == [80.0, 86.0, 86.0]
-
 
 class TestVocabs:
     def test_gender_vocab(self):
@@ -210,35 +201,6 @@ class TestOversample:
         ids = [i.stay_id for i in out]
         for inst in insts:
             assert ids.count(inst.stay_id) >= 1
-
-
-class TestGridCache:
-    def test_roundtrip(self, tmp_path):
-        meta = _meta(9, gender="Female")
-        records = [rec("Heart rate", 30, "88", stay=9), rec("Glasgow Coma Score Total", 10, "15", stay=9)]
-        grid = build_stay_grid(meta, records, SCHEMA)
-        path = tmp_path / "g.grid"
-        write_grid(path, grid)
-        loaded = read_grid(path)
-        assert loaded.stay_id == 9
-        assert np.array_equal(loaded.numeric, grid.numeric)
-        assert np.array_equal(loaded.observed_mask, grid.observed_mask)
-        assert np.array_equal(loaded.cat_labels, grid.cat_labels)
-
-    def test_cache_key_depends_on_policy(self, tmp_path):
-        f = tmp_path / "x.csv"
-        f.write_text("a,b\n1,2\n", encoding="utf-8")
-        k1 = content_key([f], BinPolicy())
-        k2 = content_key([f], BinPolicy(max_hours=100))
-        assert k1 != k2
-
-    def test_cache_get_put(self, tmp_path):
-        meta = _meta(4)
-        grid = build_stay_grid(meta, [], SCHEMA)
-        cache = GridCache(tmp_path, "k1")
-        assert cache.get(4) is None
-        cache.put(grid)
-        assert np.array_equal(cache.get(4).numeric, grid.numeric)
 
 
 def _meta(stay_id, gender="Female", hours=3):

@@ -6,7 +6,7 @@ from icubench.errors import ConfigError
 from icubench.ingestion import load_dataset
 from icubench.neural import build_model, train_model
 from icubench.neural.training import InstanceGroup
-from icubench.preprocessing import BinPolicy, build_stay_grid
+from icubench.preprocessing import build_stay_grid
 from icubench.schema import DischargeStatus, Task, canonical_schema
 from icubench.synth import PHENOTYPE_RATES, SynthConfig, generate, synthetic_catalog
 
@@ -100,7 +100,7 @@ class TestPlantedSignal:
         dataset = load_dataset(dump_dir, schema)
         pos, neg = [], []
         for sid, m in dataset.metas.items():
-            grid = build_stay_grid(m, dataset.records_by_stay.get(sid, []), schema, BinPolicy())
+            grid = build_stay_grid(m, dataset.records_by_stay.get(sid, []), schema)
             target = pos if m.hospital_discharge_status == DischargeStatus.EXPIRED else neg
             target.append(grid.numeric[:, 0].mean())
         return np.mean(pos) - np.mean(neg)
@@ -124,7 +124,7 @@ class TestPlantedSignal:
         for sid, m in sorted(dataset.metas.items()):
             if m.hospital_discharge_status == DischargeStatus.MISSING:
                 continue
-            grid = build_stay_grid(m, dataset.records_by_stay.get(sid, []), schema, BinPolicy())
+            grid = build_stay_grid(m, dataset.records_by_stay.get(sid, []), schema)
             feats.append(grid.numeric[:24])
             labels.append(1.0 if m.hospital_discharge_status == DischargeStatus.EXPIRED else 0.0)
         num = np.stack(feats)
