@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from icubench.cohort import (
+    DERIVATION_HOURS,
+    SLIDE_HOURS,
     build_decomp_instances,
     build_los_instances,
     build_mortality_instances,
@@ -155,6 +157,9 @@ class TestScheduleLaw:
     def test_no_partial_final_point(self):
         assert schedule_points(17) == [12]  # 18 would need hour 18 to exist
         assert schedule_points(19) == [12, 18]
+
+    def test_window_schedule_type(self):
+        assert DERIVATION_HOURS == 12 and SLIDE_HOURS == 6
         assert schedule_points(30) == [12, 18, 24]
 
 
