@@ -53,6 +53,9 @@ _TASK_OF = {
 }
 _BINARY_TASKS = (Task.MORTALITY, Task.DECOMPENSATION)
 
+#: Config keys report.json leaves out, so same-seed runs match wherever they read and write.
+_PATH_KEYS = ("data_dir", "out_dir")
+
 CLASSIFICATION_KEYS = ("auroc", "auprc", "specificity_at_sens90", "sensitivity", "ppv", "npv")
 REGRESSION_KEYS = ("r2", "mae")
 
@@ -153,11 +156,10 @@ def config_from_sources(file_values: Mapping[str, str] | None = None, **override
     """Build a config from file values plus CLI overrides (overrides win)."""
     fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     merged: dict = {}
-    for source in (file_values or {},):
-        for key, raw in source.items():
-            if key not in fields:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = _coerce(fields[key].type, key, raw)
+    for key, raw in (file_values or {}).items():
+        if key not in fields:
+            raise ConfigError(f"unknown config key {key!r}")
+        merged[key] = _coerce(fields[key].type, key, raw)
     for key, value in overrides.items():
         if value is None:
             continue
@@ -494,7 +496,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
 
     report = EvalReport(
         task=cfg.task,
-        config=cfg.to_dict(),
+        config={k: v for k, v in cfg.to_dict().items() if k not in _PATH_KEYS},
         fold_results=fold_results,
         aggregate_mean=folded.mean,
         aggregate_ci95=folded.ci95,

@@ -2,8 +2,9 @@
 
 Long tables (lab, nurseCharting) are streamed row by row by load_records, so
 its peak memory does not depend on file length; load_dataset groups the
-stream per stay and so holds every kept row.  Rows with missing cells are
-counted as malformed and skipped; a file that is not UTF-8 is a data error.
+stream per stay and so holds every kept row.  Rows with missing or extra
+cells (an unquoted comma inside a value, for instance) are counted as
+malformed and skipped; a file that is not UTF-8 is a data error.
 Measurement values are kept verbatim as strings; parsing is the binning
 step's job.
 
@@ -189,6 +190,27 @@ def _open_reader(src: TableSource):
             raise DataError(f"{src.path}: not valid UTF-8 after line {reader.line_num} ({exc.reason})") from exc
 
 
+def _rows(reader: csv.DictReader, report: IngestionReport, table: str) -> Iterator[dict[str, str]]:
+    """The reader's rows that have exactly one cell per header column.
+
+    DictReader fills a short row's missing cells with None and puts a long
+    row's extra cells under the key None; both are counted as malformed and
+    skipped.  Rows read are counted once, when the iteration ends.
+    """
+    width = len(reader.fieldnames)
+    n = 0
+    try:
+        for n, row in enumerate(reader, 1):
+            if None in row or None in row.values():
+                report.bump(report.rows_malformed, table)
+                report.messages.append(f"{table} line {reader.line_num} skipped: not {width} cells")
+                continue
+            yield row
+    finally:
+        if n:
+            report.bump(report.rows_read, table, n)
+
+
 def _require_columns(src: TableSource, fieldnames: Sequence[str], required_targets: Iterable[str]) -> None:
     present_targets = {src.column_map[c] for c in fieldnames if c in src.column_map}
     for target in required_targets:
@@ -234,11 +256,8 @@ def load_stay_meta(src: TableSource, report: IngestionReport | None = None) -> l
     with _open_reader(src) as reader:
         _require_columns(src, reader.fieldnames, REQUIRED_META_FIELDS)
         inverse = {t: c for c, t in src.column_map.items() if c in reader.fieldnames}
-        for row in reader:
-            report.bump(report.rows_read, PATIENT)
+        for row in _rows(reader, report, PATIENT):
             try:
-                if None in row.values():
-                    raise ValueError("row has missing cells")
                 stay_id = int(row[inverse["stay_id"]])
                 offset = int(row[inverse["unit_discharge_offset_minutes"]])
                 if offset <= 0:
@@ -285,11 +304,7 @@ def load_records(
     with _open_reader(src) as reader:
         _require_columns(src, reader.fieldnames, ("stay_id", "offset_minutes", "variable", "value"))
         inverse = {t: c for c, t in src.column_map.items() if c in reader.fieldnames}
-        for row in reader:
-            report.bump(report.rows_read, src.table)
-            if None in row.values():
-                report.bump(report.rows_malformed, src.table)
-                continue
+        for row in _rows(reader, report, src.table):
             variable = src.variable_map.get(row[inverse["variable"]].strip())
             if variable is None or variable not in schema_names:
                 report.bump(report.rows_unmapped_variable, src.table)
@@ -317,11 +332,7 @@ def load_diagnoses(src: TableSource, report: IngestionReport | None = None) -> d
     with _open_reader(src) as reader:
         _require_columns(src, reader.fieldnames, ("stay_id", "code"))
         inverse = {t: c for c, t in src.column_map.items() if c in reader.fieldnames}
-        for row in reader:
-            report.bump(report.rows_read, DIAGNOSIS)
-            if None in row.values():
-                report.bump(report.rows_malformed, DIAGNOSIS)
-                continue
+        for row in _rows(reader, report, DIAGNOSIS):
             try:
                 stay_id = int(row[inverse["stay_id"]])
             except ValueError:

@@ -2,15 +2,12 @@ from .adam import Adam
 from .embedding import EmbeddingTable
 from .functional import bce_loss, mse_loss, relu, sigmoid, task_loss
 from .gradcheck import GradCheckResult, grad_check
-from .lstm import BiLstm, EncoderState
 from .models import build_model, embedding_dims
 from .training import make_epoch_batches, predict_scores, train_model
 
 __all__ = [
     "Adam",
-    "BiLstm",
     "EmbeddingTable",
-    "EncoderState",
     "GradCheckResult",
     "bce_loss",
     "build_model",

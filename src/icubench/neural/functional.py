@@ -1,4 +1,4 @@
-"""Activations and losses with their input-side gradients."""
+"""Activations and losses with their input-side gradients, plus the weight initialiser."""
 
 from __future__ import annotations
 
@@ -18,6 +18,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
+    """Glorot-uniform [fan_out, fan_in] weight matrix."""
+    lim = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-lim, lim, size=(fan_out, fan_in))
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Bidirectional LSTM encoder with hand-written backpropagation through time.
+"""One LSTM direction with hand-written backpropagation through time.
 
 Cell equations per timestep (gate order i, f, o, g inside the fused
 matrices):
@@ -8,30 +8,23 @@ matrices):
     c_t = f * c_{t-1} + i * g
     h_t = o * tanh(c_t)
 
-The backward direction runs the same cell over the reversed sequence; the
-per-timestep representation concatenates both directions, and the sequence
-summary concatenates the last forward state with the backward state at the
-first timestep.
+``models.BilstmModel`` runs the cell once over the sequence and once over
+its reverse and consumes only the last hidden state of each run, so the
+backward pass takes the gradient of that one state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .functional import sigmoid
+from .functional import glorot, sigmoid
 
 
 def init_direction(rng: np.random.Generator, input_width: int, hidden: int) -> dict[str, np.ndarray]:
     """Glorot-uniform gate weights; forget-gate bias starts at 1."""
-    def glorot(fan_out, fan_in):
-        lim = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-lim, lim, size=(fan_out, fan_in))
-
     b = np.zeros(4 * hidden)
     b[hidden:2 * hidden] = 1.0
-    return {"Wx": glorot(4 * hidden, input_width), "Wh": glorot(4 * hidden, hidden), "b": b}
+    return {"Wx": glorot(rng, 4 * hidden, input_width), "Wh": glorot(rng, 4 * hidden, hidden), "b": b}
 
 
 def lstm_forward(x: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray):
@@ -49,52 +42,42 @@ def lstm_forward(x: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray):
     tanh_c = np.empty((B, T, H))
     for t in range(T):
         z = xz[:, t] + h @ Wh.T
-        i = sigmoid(z[:, :H])
-        f = sigmoid(z[:, H:2 * H])
-        o = sigmoid(z[:, 2 * H:3 * H])
-        g = np.tanh(z[:, 3 * H:])
+        a = gates[:, t]
+        a[:, :3 * H] = sigmoid(z[:, :3 * H])
+        np.tanh(z[:, 3 * H:], out=a[:, 3 * H:])
+        i, f, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
         c_prev[:, t] = c
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc
         hs[:, t] = h
         tanh_c[:, t] = tc
-        gates[:, t, :H] = i
-        gates[:, t, H:2 * H] = f
-        gates[:, t, 2 * H:3 * H] = o
-        gates[:, t, 3 * H:] = g
-    cache = {"x": x, "hs": hs, "gates": gates, "c_prev": c_prev, "tanh_c": tanh_c, "H": H}
+    cache = {"x": x, "hs": hs, "gates": gates, "c_prev": c_prev, "tanh_c": tanh_c}
     return hs, cache
 
 
-def lstm_backward(dhs: np.ndarray, cache, Wx: np.ndarray, Wh: np.ndarray):
-    """BPTT for one direction; dhs [B, T, H] is the gradient w.r.t. each h_t."""
-    x, hs, gates, c_prev, tanh_c, H = (
-        cache["x"], cache["hs"], cache["gates"], cache["c_prev"], cache["tanh_c"], cache["H"],
-    )
+def lstm_backward(dh_last: np.ndarray, cache, Wx: np.ndarray, Wh: np.ndarray):
+    """BPTT for one direction; dh_last [B, H] is the gradient w.r.t. the last h_t."""
+    x, hs, gates, c_prev, tanh_c = cache["x"], cache["hs"], cache["gates"], cache["c_prev"], cache["tanh_c"]
     B, T, D = x.shape
+    H = Wh.shape[1]
     dz_all = np.empty((B, T, 4 * H))
-    dh_next = np.zeros((B, H))
+    dh = dh_last
     dc_next = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
-        i = gates[:, t, :H]
-        f = gates[:, t, H:2 * H]
-        o = gates[:, t, 2 * H:3 * H]
-        g = gates[:, t, 3 * H:]
+        a = gates[:, t]
+        i, f, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
         tc = tanh_c[:, t]
-        dh = dhs[:, t] + dh_next
-        do = dh * tc
         dc = dc_next + dh * o * (1.0 - tc * tc)
-        df = dc * c_prev[:, t]
-        di = dc * g
-        dg = dc * i
         dc_next = dc * f
         dz = dz_all[:, t]
-        dz[:, :H] = di * i * (1.0 - i)
-        dz[:, H:2 * H] = df * f * (1.0 - f)
-        dz[:, 2 * H:3 * H] = do * o * (1.0 - o)
-        dz[:, 3 * H:] = dg * (1.0 - g * g)
-        dh_next = dz @ Wh
+        dz[:, :H] = dc * g                 # d i, d f, d o, then times sigmoid' = a (1 - a)
+        dz[:, H:2 * H] = dc * c_prev[:, t]
+        dz[:, 2 * H:3 * H] = dh * tc
+        dz[:, :3 * H] *= a[:, :3 * H]
+        dz[:, :3 * H] *= 1.0 - a[:, :3 * H]
+        dz[:, 3 * H:] = dc * i * (1.0 - g * g)
+        dh = dz @ Wh
     flat_dz = dz_all.reshape(B * T, 4 * H)
     dWx = flat_dz.T @ x.reshape(B * T, D)
     h_prev = np.concatenate([np.zeros((B, 1, H)), hs[:, :-1]], axis=1)
@@ -102,67 +85,3 @@ def lstm_backward(dhs: np.ndarray, cache, Wx: np.ndarray, Wh: np.ndarray):
     db = dz_all.sum(axis=(0, 1))
     dx = (flat_dz @ Wx).reshape(B, T, D)
     return dx, {"Wx": dWx, "Wh": dWh, "b": db}
-
-
-@dataclass(frozen=True, eq=False)
-class EncoderState:
-    """All concatenated per-timestep states plus the sequence summary.
-
-    ``states`` is [B, T, 2H] with the forward direction in the first half of
-    the last axis; ``summary`` is [B, 2H] = [last forward state ; backward
-    state at timestep 0].
-    """
-
-    states: np.ndarray
-    summary: np.ndarray
-
-
-class BiLstm:
-    """Forward + backward direction pair over a shared input sequence."""
-
-    def __init__(self, fwd: dict[str, np.ndarray], bwd: dict[str, np.ndarray]):
-        self.fwd = fwd
-        self.bwd = bwd
-
-    @classmethod
-    def create(cls, rng: np.random.Generator, input_width: int, hidden: int) -> "BiLstm":
-        return cls(init_direction(rng, input_width, hidden), init_direction(rng, input_width, hidden))
-
-    @property
-    def hidden(self) -> int:
-        return self.fwd["Wh"].shape[1]
-
-    def forward(self, x: np.ndarray) -> tuple[EncoderState, dict]:
-        if x.shape[1] < 1:
-            raise ValueError("sequence must be nonempty")
-        hf, cache_f = lstm_forward(x, self.fwd["Wx"], self.fwd["Wh"], self.fwd["b"])
-        x_rev = x[:, ::-1]
-        hb_rev, cache_b = lstm_forward(x_rev, self.bwd["Wx"], self.bwd["Wh"], self.bwd["b"])
-        states = np.concatenate([hf, hb_rev[:, ::-1]], axis=2)
-        summary = np.concatenate([hf[:, -1], hb_rev[:, -1]], axis=1)
-        return EncoderState(states=states, summary=summary), {"f": cache_f, "b": cache_b}
-
-    def backward(
-        self,
-        caches: dict,
-        d_summary: np.ndarray | None = None,
-        d_states: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Gradients w.r.t. inputs and parameters given output gradients."""
-        cache_f, cache_b = caches["f"], caches["b"]
-        B, T, _ = cache_f["x"].shape
-        H = cache_f["H"]
-        dhf = np.zeros((B, T, H))
-        dhb_rev = np.zeros((B, T, H))
-        if d_states is not None:
-            dhf += d_states[:, :, :H]
-            dhb_rev += d_states[:, ::-1, H:]
-        if d_summary is not None:
-            dhf[:, -1] += d_summary[:, :H]
-            dhb_rev[:, -1] += d_summary[:, H:]
-        dx_f, grads_f = lstm_backward(dhf, cache_f, self.fwd["Wx"], self.fwd["Wh"])
-        dx_b_rev, grads_b = lstm_backward(dhb_rev, cache_b, self.bwd["Wx"], self.bwd["Wh"])
-        dx = dx_f + dx_b_rev[:, ::-1]
-        grads = {f"lstm_f/{k}": v for k, v in grads_f.items()}
-        grads.update({f"lstm_b/{k}": v for k, v in grads_b.items()})
-        return dx, grads

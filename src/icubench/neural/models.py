@@ -16,9 +16,9 @@ from typing import Mapping
 import numpy as np
 
 from ..schema import N_NUMERIC, Task
+from . import lstm
 from .embedding import EmbeddingTable
-from .functional import relu, sigmoid, task_loss
-from .lstm import BiLstm
+from .functional import glorot, relu, sigmoid, task_loss
 
 OUT_DIM = {Task.MORTALITY: 1, Task.DECOMPENSATION: 1, Task.LOS: 1, Task.PHENOTYPING: 25}
 
@@ -29,11 +29,6 @@ EMBEDDING = "embedding"
 def embedding_dims(vocab_sizes: Mapping[str, int], cap: int = 50) -> dict[str, int]:
     """Default entity-embedding widths: min(cap, ceil(vocab/2))."""
     return {name: min(cap, math.ceil(size / 2)) for name, size in vocab_sizes.items()}
-
-
-def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
-    lim = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-lim, lim, size=(fan_out, fan_in))
 
 
 class BaseModel:
@@ -144,7 +139,7 @@ class LinearModel(BaseModel):
 
     def __init__(self, task, use_numeric, emb, rng):
         super().__init__(task, use_numeric, emb)
-        self.params["head/W"] = _glorot(rng, OUT_DIM[task], self.input_width)
+        self.params["head/W"] = glorot(rng, OUT_DIM[task], self.input_width)
         self.params["head/b"] = np.zeros(OUT_DIM[task])
 
     def _core(self, x):
@@ -163,9 +158,9 @@ class AnnModel(BaseModel):
     def __init__(self, task, use_numeric, emb, rng, hidden: int = 64):
         super().__init__(task, use_numeric, emb)
         self.hidden = hidden
-        self.params["hidden/W"] = _glorot(rng, hidden, self.input_width)
+        self.params["hidden/W"] = glorot(rng, hidden, self.input_width)
         self.params["hidden/b"] = np.zeros(hidden)
-        self.params["head/W"] = _glorot(rng, OUT_DIM[task], hidden)
+        self.params["head/W"] = glorot(rng, OUT_DIM[task], hidden)
         self.params["head/b"] = np.zeros(OUT_DIM[task])
 
     def _core(self, x):
@@ -181,28 +176,42 @@ class AnnModel(BaseModel):
 
 
 class BilstmModel(BaseModel):
-    """Bidirectional LSTM encoder; the head consumes the sequence summary."""
+    """Bidirectional LSTM encoder; the head consumes the sequence summary.
+
+    The summary is [last forward state ; backward state at timestep 0], the
+    backward direction being the same cell run over the reversed sequence.
+    """
 
     kind = "bilstm"
+    directions = ("lstm_f", "lstm_b")
 
     def __init__(self, task, use_numeric, emb, rng, hidden: int = 64):
         super().__init__(task, use_numeric, emb)
-        self.bilstm = BiLstm.create(rng, self.input_width, hidden)
-        for direction, tag in ((self.bilstm.fwd, "lstm_f"), (self.bilstm.bwd, "lstm_b")):
-            for name, arr in direction.items():
+        for tag in self.directions:
+            for name, arr in lstm.init_direction(rng, self.input_width, hidden).items():
                 self.params[f"{tag}/{name}"] = arr
-        self.params["head/W"] = _glorot(rng, OUT_DIM[task], 2 * hidden)
+        self.params["head/W"] = glorot(rng, OUT_DIM[task], 2 * hidden)
         self.params["head/b"] = np.zeros(OUT_DIM[task])
 
     def _core(self, x):
-        state, caches = self.bilstm.forward(x)
-        return state.summary, caches, []
+        if x.shape[1] < 1:
+            raise ValueError("sequence must be nonempty")
+        p = self.params
+        summary, caches = [], []
+        for tag, seq in zip(self.directions, (x, x[:, ::-1])):
+            hs, cache = lstm.lstm_forward(seq, p[f"{tag}/Wx"], p[f"{tag}/Wh"], p[f"{tag}/b"])
+            summary.append(hs[:, -1])
+            caches.append(cache)
+        return np.concatenate(summary, axis=1), caches, []
 
     def _core_backward(self, drep, cache):
-        return self.bilstm.backward(cache, d_summary=drep)
-
-
-_KINDS = {"lr": LinearModel, "ann": AnnModel, "bilstm": BilstmModel}
+        p = self.params
+        grads, dxs = {}, []
+        for tag, dh_last, c in zip(self.directions, np.split(drep, 2, axis=1), cache):
+            dx, g = lstm.lstm_backward(dh_last, c, p[f"{tag}/Wx"], p[f"{tag}/Wh"])
+            grads.update({f"{tag}/{name}": v for name, v in g.items()})
+            dxs.append(dx)
+        return dxs[0] + dxs[1][:, ::-1], grads
 
 
 def build_model(
@@ -235,10 +244,10 @@ def build_model(
             emb = EmbeddingTable.random(vocab_sizes, dims, rng, trainable=not embed_frozen)
         else:
             raise ValueError(f"unknown encoding {encoding!r}")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
     if kind == "lr":
         return LinearModel(task, use_numeric, emb, rng)
     if kind == "ann":
         return AnnModel(task, use_numeric, emb, rng, hidden=ann_hidden)
-    return BilstmModel(task, use_numeric, emb, rng, hidden=hidden)
+    if kind == "bilstm":
+        return BilstmModel(task, use_numeric, emb, rng, hidden=hidden)
+    raise ValueError(f"unknown model kind {kind!r}")

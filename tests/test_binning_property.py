@@ -1,0 +1,64 @@
+"""Property test: bin_hourly equals the reference binning on generated record lists.
+
+The generated lists lean on the edges a seeded random draw rarely hits:
+several records at one offset (within and across variables), values that
+do not parse or parse to a non-finite number, whitespace-only categorical
+values, and offsets on both sides of the grid's first and last minute.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _reference import ref_bin
+from icubench.preprocessing import bin_hourly
+from icubench.schema import CATEGORICAL_VARIABLES, NUMERICAL_VARIABLES, StayRecordRaw, canonical_schema
+
+SCHEMA = canonical_schema()
+NUM_INDEX = {name: i for i, name in enumerate(NUMERICAL_VARIABLES)}
+CAT_INDEX = {name: i for i, name in enumerate(CATEGORICAL_VARIABLES)}
+
+NUMERIC = ("Heart rate", "pH")
+CATEGORICAL = ("Glasgow Coma Score Total", "Gender")
+VARIABLES = NUMERIC + CATEGORICAL + ("Not in the schema",)
+
+numeric_values = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "", " ", "bad", "7.31", " 80 ", "1e3", "-0"]),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr),
+)
+categorical_values = st.sampled_from(["", " ", "\t", "3", " 15 ", "Female", "x y"])
+
+
+@st.composite
+def record_lists(draw):
+    n_hours = draw(st.integers(1, 4))
+    edges = [-1, 0, 60 * n_hours - 1, 60 * n_hours]
+    offsets = st.one_of(st.sampled_from(edges), st.integers(-5, 60 * n_hours + 5))
+    # few distinct offsets, so ties within and across variables are common
+    pool = draw(st.lists(offsets, min_size=1, max_size=4))
+    triples = []
+    for _ in range(draw(st.integers(0, 20))):
+        var = draw(st.sampled_from(VARIABLES))
+        value = draw(categorical_values if var in CATEGORICAL else numeric_values)
+        triples.append((var, draw(st.sampled_from(pool)), value))
+    triples.sort(key=lambda t: t[1])   # stable: generation order decides the last entry of a tie
+    return n_hours, triples
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(record_lists())
+def test_bin_hourly_equals_reference(case):
+    n_hours, triples = case
+    grid = bin_hourly([StayRecordRaw(1, v, o, val) for v, o, val in triples], n_hours, SCHEMA)
+    ref_num, ref_cat = ref_bin(triples, n_hours, set(NUMERICAL_VARIABLES), set(CATEGORICAL_VARIABLES))
+
+    expected = np.full((n_hours, len(NUMERICAL_VARIABLES)), np.nan)
+    for (hour, name), value in ref_num.items():
+        expected[hour, NUM_INDEX[name]] = value
+    assert np.array_equal(grid.numeric, expected, equal_nan=True)
+    assert np.array_equal(grid.observed_mask, ~np.isnan(expected))
+
+    expected_cat = np.full((n_hours, len(CATEGORICAL_VARIABLES)), "", dtype=object)
+    for (hour, name), value in ref_cat.items():
+        expected_cat[hour, CAT_INDEX[name]] = value
+    assert np.array_equal(grid.cat_labels, expected_cat)

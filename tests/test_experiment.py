@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -104,6 +105,12 @@ class TestRunExperiment:
     def test_byte_identical_reports_for_same_seed(self, small_dump, tmp_path):
         a = report_json(run_experiment(self._cfg(small_dump, tmp_path)))
         b = report_json(run_experiment(self._cfg(small_dump, tmp_path)))
+        assert a == b
+
+    def test_report_does_not_depend_on_paths(self, small_dump, tmp_path):
+        moved = shutil.copytree(small_dump, tmp_path / "elsewhere" / "data")
+        a = report_json(run_experiment(self._cfg(small_dump, tmp_path, out_dir=str(tmp_path / "a"))))
+        b = report_json(run_experiment(self._cfg(moved, tmp_path, out_dir=str(tmp_path / "b"))))
         assert a == b
 
     def test_different_seed_changes_folds(self, small_dump, tmp_path):

@@ -155,6 +155,19 @@ class TestReport:
         assert list(load_diagnoses(TableSource(path=diagnosis, table="diagnosis"), report)) == [7]
         assert report.rows_malformed == {"patient": 1, "lab": 1, "diagnosis": 1}
 
+    def test_long_rows_counted_as_malformed(self, tmp_path):
+        # an unquoted decimal comma splits one cell in two
+        report = IngestionReport()
+        patient = write(tmp_path / "patient.csv", [PATIENT_HEADER, "8,1002,45,Male,Hispanic,Trauma,Alive,1500,2000,5"])
+        lab = write(tmp_path / "lab.csv", ["patientunitstayid,labresultoffset,labname,labresult", "7,95,pH,7,31"])
+        diagnosis = write(tmp_path / "diagnosis.csv", ["patientunitstayid,icd9code", "7,038.9,995.91"])
+        assert load_stay_meta(TableSource(path=patient, table="patient"), report) == []
+        assert list(load_records(TableSource(path=lab, table="lab"), canonical_schema(), report)) == []
+        assert load_diagnoses(TableSource(path=diagnosis, table="diagnosis"), report) == {}
+        assert report.rows_malformed == {"patient": 1, "lab": 1, "diagnosis": 1}
+        assert report.rows_read == {"patient": 1, "lab": 1, "diagnosis": 1}
+        assert report.rows_kept == {}
+
     def test_render_says_how_many_messages_were_cut(self):
         report = IngestionReport(messages=[f"message {i}" for i in range(205)])
         lines = report.render().splitlines()

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from _reference import ref_bilstm_summary, ref_lstm_sequence
-from icubench.neural.lstm import BiLstm, init_direction, lstm_forward
+from icubench.neural.lstm import init_direction, lstm_forward
+from icubench.neural.models import BilstmModel
+from icubench.schema import N_NUMERIC, Task
+
+D = N_NUMERIC   # a numeric-only model's input width
 
 
 def random_direction(rng, width, hidden):
@@ -10,6 +14,23 @@ def random_direction(rng, width, hidden):
     # perturb biases so nothing sits exactly at the origin
     params["b"] = rng.normal(0.0, 0.3, size=4 * hidden)
     return params
+
+
+def bilstm(rng, hidden, fwd=None, bwd=None):
+    """A numeric-only BilstmModel whose two directions are given (or random)."""
+    model = BilstmModel(Task.MORTALITY, True, None, rng, hidden=hidden)
+    for tag, params in (("lstm_f", fwd), ("lstm_b", bwd)):
+        for name, arr in (params or random_direction(rng, D, hidden)).items():
+            model.params[f"{tag}/{name}"] = arr
+    return model
+
+
+def direction(model, tag):
+    return {name: model.params[f"{tag}/{name}"] for name in ("Wx", "Wh", "b")}
+
+
+def summary(model, x):
+    return model._core(x)[0]
 
 
 class TestForward:
@@ -43,68 +64,77 @@ class TestForward:
 class TestBidirectional:
     def test_summary_matches_scalar_reference(self):
         rng = np.random.default_rng(7)
-        D, H, T = 6, 3, 5
-        model = BiLstm(random_direction(rng, D, H), random_direction(rng, D, H))
+        H, T = 3, 5
+        model = bilstm(rng, H)
         x = rng.normal(size=(2, T, D))
-        state, _ = model.forward(x)
+        got = summary(model, x)
         for b in range(2):
-            ref = ref_bilstm_summary(x[b].tolist(), model.fwd, model.bwd)
-            assert np.max(np.abs(state.summary[b] - np.asarray(ref))) < 1e-12
+            ref = ref_bilstm_summary(x[b].tolist(), direction(model, "lstm_f"), direction(model, "lstm_b"))
+            assert np.max(np.abs(got[b] - np.asarray(ref))) < 1e-12
 
     def test_length_one_summary_equals_state(self):
         rng = np.random.default_rng(3)
-        model = BiLstm(random_direction(rng, 4, 3), random_direction(rng, 4, 3))
-        x = rng.normal(size=(1, 1, 4))
-        state, _ = model.forward(x)
-        assert np.array_equal(state.summary, state.states[:, 0])
+        model = bilstm(rng, 3)
+        x = rng.normal(size=(1, 1, D))
+        hf, _ = lstm_forward(x, *direction(model, "lstm_f").values())
+        hb, _ = lstm_forward(x, *direction(model, "lstm_b").values())
+        assert np.array_equal(summary(model, x), np.concatenate([hf[:, 0], hb[:, 0]], axis=1))
 
     def test_summary_is_last_forward_and_first_backward(self):
         rng = np.random.default_rng(5)
         H = 3
-        model = BiLstm(random_direction(rng, 4, H), random_direction(rng, 4, H))
-        x = rng.normal(size=(2, 6, 4))
-        state, _ = model.forward(x)
-        assert np.array_equal(state.summary[:, :H], state.states[:, -1, :H])
-        assert np.array_equal(state.summary[:, H:], state.states[:, 0, H:])
+        model = bilstm(rng, H)
+        x = rng.normal(size=(2, 6, D))
+        got = summary(model, x)
+        hf, _ = lstm_forward(x, *direction(model, "lstm_f").values())
+        hb_rev, _ = lstm_forward(x[:, ::-1], *direction(model, "lstm_b").values())
+        assert np.array_equal(got[:, :H], hf[:, -1])
+        assert np.array_equal(got[:, H:], hb_rev[:, -1])   # backward state at timestep 0
 
     def test_direction_symmetry_under_stack_swap(self):
         rng = np.random.default_rng(9)
         H = 4
-        fwd, bwd = random_direction(rng, 5, H), random_direction(rng, 5, H)
-        x = rng.normal(size=(3, 7, 5))
-        original, _ = BiLstm(fwd, bwd).forward(x)
-        swapped, _ = BiLstm(bwd, fwd).forward(x[:, ::-1].copy())
-        # reversed input with swapped stacks exchanges the two halves at mirrored timesteps
-        assert np.allclose(swapped.states[:, ::-1, H:], original.states[:, :, :H], atol=1e-12)
-        assert np.allclose(swapped.states[:, ::-1, :H], original.states[:, :, H:], atol=1e-12)
-        assert np.allclose(swapped.summary[:, H:], original.summary[:, :H], atol=1e-12)
-        assert np.allclose(swapped.summary[:, :H], original.summary[:, H:], atol=1e-12)
+        fwd, bwd = random_direction(rng, D, H), random_direction(rng, D, H)
+        x = rng.normal(size=(3, 7, D))
+        original = summary(bilstm(rng, H, fwd, bwd), x)
+        swapped = summary(bilstm(rng, H, bwd, fwd), x[:, ::-1].copy())
+        # reversed input with swapped stacks exchanges the two summary halves
+        assert np.allclose(swapped[:, H:], original[:, :H], atol=1e-12)
+        assert np.allclose(swapped[:, :H], original[:, H:], atol=1e-12)
 
     def test_empty_sequence_rejected(self):
-        rng = np.random.default_rng(1)
-        model = BiLstm(random_direction(rng, 4, 3), random_direction(rng, 4, 3))
+        model = bilstm(np.random.default_rng(1), 3)
         with pytest.raises(ValueError):
-            model.forward(np.zeros((1, 0, 4)))
+            model.predict(np.zeros((1, 0, D)), None)
+
+    def test_replaced_parameter_array_is_used(self):
+        rng = np.random.default_rng(4)
+        model = bilstm(rng, 3)
+        x = rng.normal(size=(2, 4, D))
+        before = summary(model, x)
+        model.params["lstm_b/Wh"] = model.params["lstm_b/Wh"] * 2.0   # a new array, not an in-place update
+        after = summary(model, x)
+        assert np.array_equal(after[:, :3], before[:, :3])
+        assert not np.allclose(after[:, 3:], before[:, 3:])
 
 
 class TestBackwardNumerically:
     def test_summary_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        D, H, T, B = 4, 3, 5, 2
-        model = BiLstm(random_direction(rng, D, H), random_direction(rng, D, H))
+        H, T, B = 3, 5, 2
+        model = bilstm(rng, H)
         x = rng.normal(size=(B, T, D))
         w = rng.normal(size=2 * H)  # random linear readout of the summary
 
         def scalar_loss():
-            state, _ = model.forward(x)
-            return float((state.summary @ w).sum())
+            return float((summary(model, x) @ w).sum())
 
-        state, caches = model.forward(x)
-        d_summary = np.tile(w, (B, 1))
-        dx, grads = model.backward(caches, d_summary=d_summary)
+        _, caches, _ = model._core(x)
+        dx, grads = model._core_backward(np.tile(w, (B, 1)), caches)
 
         eps = 1e-6
-        for key, arr in (("lstm_f/Wx", model.fwd["Wx"]), ("lstm_b/Wh", model.bwd["Wh"]), ("lstm_f/b", model.fwd["b"])):
+        for key in ("lstm_f/Wx", "lstm_b/Wh", "lstm_f/b"):
+            arr = model.params[key]
             for flat in rng.choice(arr.size, size=5, replace=False):
                 orig = arr.flat[flat]
                 arr.flat[flat] = orig + eps
