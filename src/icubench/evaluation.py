@@ -61,8 +61,7 @@ def _ranked_confusion(scores, labels):
 
 def auprc(scores, labels) -> float:
     """Average precision: sum of precision times recall increments."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels).astype(np.int64)
+    scores, labels = _as_binary(scores, labels)
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise UndefinedMetricError("AUPRC needs at least one positive")

@@ -13,7 +13,8 @@ Layout (little-endian):
         data     float64 row-major
 
 Loading rejects files whose schema hash differs from the active one, so a
-model can never silently run against a different vocabulary.
+model can never silently run against a different vocabulary, and raises
+``SchemaError`` for a file that ends before its layout does.
 """
 
 from __future__ import annotations
@@ -64,25 +65,32 @@ def save_checkpoint(path, params: Mapping[str, np.ndarray], schema_digest: bytes
             fh.write(arr.tobytes())
 
 
+def _read(fh, n: int, path) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise SchemaError(f"{path}: truncated checkpoint")
+    return data
+
+
 def load_checkpoint(path, expected_schema_digest: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
+        if _read(fh, 4, path) != MAGIC:
             raise SchemaError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<H", fh.read(2))
+        (version,) = struct.unpack("<H", _read(fh, 2, path))
         if version != VERSION:
             raise SchemaError(f"{path}: unsupported checkpoint version {version}")
-        digest = fh.read(32)
+        digest = _read(fh, 32, path)
         if digest != expected_schema_digest:
             raise SchemaError(f"{path}: checkpoint schema hash does not match the active vocabulary")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        (n_params,) = struct.unpack("<I", fh.read(4))
+        (meta_len,) = struct.unpack("<I", _read(fh, 4, path))
+        meta = json.loads(_read(fh, meta_len, path).decode("utf-8"))
+        (n_params,) = struct.unpack("<I", _read(fh, 4, path))
         params: dict[str, np.ndarray] = {}
         for _ in range(n_params):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
+            (name_len,) = struct.unpack("<H", _read(fh, 2, path))
+            name = _read(fh, name_len, path).decode("utf-8")
+            (ndim,) = struct.unpack("<B", _read(fh, 1, path))
+            shape = struct.unpack(f"<{ndim}q", _read(fh, 8 * ndim, path))
             count = int(np.prod(shape)) if ndim else 1
-            params[name] = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
+            params[name] = np.frombuffer(_read(fh, 8 * count, path), dtype="<f8").reshape(shape).copy()
     return meta, params

@@ -9,14 +9,24 @@ from ..schema import Task
 _EPS = 1e-12
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic; outputs stay inside (0, 1) for |x| < ~36."""
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic; outputs stay inside (0, 1) for |x| < ~36.
+
+    Computed as exp(min(x, 0)) / (1 + exp(-|x|)) without branching: for
+    x >= 0 the numerator is exactly 1, and for x < 0 exp(-|x|) is exp(x), so
+    each element equals 1 / (1 + exp(-x)) or exp(x) / (1 + exp(x)) bit for
+    bit.  ``out`` may be ``x`` itself; the denominator is taken first.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    den = np.abs(x, out=np.empty_like(x))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    if out is None:
+        out = np.empty_like(x)
+    np.minimum(x, 0.0, out=out)
+    np.exp(out, out=out)
+    np.divide(out, den, out=out)
     return out
 
 

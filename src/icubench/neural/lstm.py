@@ -11,6 +11,27 @@ matrices):
 ``models.BilstmModel`` runs the cell once over the sequence and once over
 its reverse and consumes only the last hidden state of each run, so the
 backward pass takes the gradient of that one state.
+
+The forward cache is time-major, so each step t = 0..T-1 reads and writes
+contiguous ``[B, ·]`` rows (h_{-1} = c_{-1} = 0):
+
+    gates   [T, B, 4H]  filled once with x Wx^T + b; step t adds
+                        h_{t-1} Wh^T to row t and activates it in place
+                        to i, f, o, g
+    hs      [T, B, H]   h_t
+    c_prev  [T, B, H]   c_{t-1}
+    tanh_c  [T, B, H]   tanh(c_t)
+
+``lstm_forward`` returns ``hs`` as a ``[B, T, H]`` view.  The backward pass
+writes each step's gate gradient into a batch-major ``[B, T, 4H]`` array
+and builds h_{t-1} in one batch-major ``[B, T, H]`` buffer, so the weight
+and input gradients are single ``[B*T, ·]`` GEMMs whose rows run
+batch-major.
+
+Both passes are bit-for-bit equal to the batch-major kernels kept as
+oracles in ``tests/_reference.py``: every element goes through the same
+floating-point operations in the same order, and every GEMM gets the same
+operands in the same row order.
 """
 
 from __future__ import annotations
@@ -33,27 +54,26 @@ def lstm_forward(x: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray):
     H = Wh.shape[1]
     if Wx.shape[1] != D:
         raise ValueError(f"input width {D} does not match weights ({Wx.shape[1]})")
-    xz = (x.reshape(B * T, D) @ Wx.T).reshape(B, T, 4 * H) + b
+    gates = np.empty((T, B, 4 * H))
+    np.add((x.reshape(B * T, D) @ Wx.T).reshape(B, T, 4 * H).transpose(1, 0, 2), b, out=gates)
+    hs = np.empty((T, B, H))
+    c_prev = np.empty((T, B, H))
+    tanh_c = np.empty((T, B, H))
     h = np.zeros((B, H))
     c = np.zeros((B, H))
-    hs = np.empty((B, T, H))
-    gates = np.empty((B, T, 4 * H))   # activated i, f, o, g
-    c_prev = np.empty((B, T, H))
-    tanh_c = np.empty((B, T, H))
     for t in range(T):
-        z = xz[:, t] + h @ Wh.T
-        a = gates[:, t]
-        a[:, :3 * H] = sigmoid(z[:, :3 * H])
-        np.tanh(z[:, 3 * H:], out=a[:, 3 * H:])
+        a = gates[t]
+        a += h @ Wh.T
+        sigmoid(a[:, :3 * H], out=a[:, :3 * H])
+        np.tanh(a[:, 3 * H:], out=a[:, 3 * H:])
         i, f, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
-        c_prev[:, t] = c
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        hs[:, t] = h
-        tanh_c[:, t] = tc
+        c_prev[t] = c
+        c = f * c
+        c += i * g
+        np.tanh(c, out=tanh_c[t])
+        h = np.multiply(o, tanh_c[t], out=hs[t])
     cache = {"x": x, "hs": hs, "gates": gates, "c_prev": c_prev, "tanh_c": tanh_c}
-    return hs, cache
+    return hs.transpose(1, 0, 2), cache
 
 
 def lstm_backward(dh_last: np.ndarray, cache, Wx: np.ndarray, Wh: np.ndarray):
@@ -65,23 +85,26 @@ def lstm_backward(dh_last: np.ndarray, cache, Wx: np.ndarray, Wh: np.ndarray):
     dh = dh_last
     dc_next = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
-        a = gates[:, t]
+        a = gates[t]
         i, f, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
-        tc = tanh_c[:, t]
+        tc = tanh_c[t]
         dc = dc_next + dh * o * (1.0 - tc * tc)
         dc_next = dc * f
         dz = dz_all[:, t]
         dz[:, :H] = dc * g                 # d i, d f, d o, then times sigmoid' = a (1 - a)
-        dz[:, H:2 * H] = dc * c_prev[:, t]
+        dz[:, H:2 * H] = dc * c_prev[t]
         dz[:, 2 * H:3 * H] = dh * tc
         dz[:, :3 * H] *= a[:, :3 * H]
         dz[:, :3 * H] *= 1.0 - a[:, :3 * H]
         dz[:, 3 * H:] = dc * i * (1.0 - g * g)
         dh = dz @ Wh
     flat_dz = dz_all.reshape(B * T, 4 * H)
-    dWx = flat_dz.T @ x.reshape(B * T, D)
-    h_prev = np.concatenate([np.zeros((B, 1, H)), hs[:, :-1]], axis=1)
+    h_prev = np.empty((B, T, H))
+    h_prev[:, 0] = 0.0
+    h_prev[:, 1:] = hs[:-1].transpose(1, 0, 2)
     dWh = flat_dz.T @ h_prev.reshape(B * T, H)
+    del h_prev   # freed before dx exists, so the two never add to peak memory
+    dWx = flat_dz.T @ x.reshape(B * T, D)
     db = dz_all.sum(axis=(0, 1))
     dx = (flat_dz @ Wx).reshape(B, T, D)
     return dx, {"Wx": dWx, "Wh": dWh, "b": db}

@@ -1,14 +1,16 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written the slow, literal way (scalar
-loops, exhaustive enumeration) and must stay independent of the package
-code paths it checks.
+loops, exhaustive enumeration, or a kernel in its older, plainer form) and
+must stay independent of the package code paths it checks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 
 def try_parse(value: str):
@@ -166,3 +168,76 @@ def ref_permutation_pvalue(a, b) -> float:
             count += 1
         total += 1
     return count / total
+
+
+# --- The boolean-mask sigmoid and the batch-major LSTM cell that the package's
+# branch-free sigmoid and time-major kernels replaced.  The replacements must
+# match these bit for bit.
+
+def ref_sigmoid(x):
+    """Boolean-mask logistic: 1/(1+exp(-x)) where x >= 0, exp(x)/(1+exp(x)) elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_lstm_forward(x, Wx, Wh, b):
+    """One direction over x [B, T, D] with batch-major [B, T, ·] caches."""
+    B, T, D = x.shape
+    H = Wh.shape[1]
+    xz = (x.reshape(B * T, D) @ Wx.T).reshape(B, T, 4 * H) + b
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    hs = np.empty((B, T, H))
+    gates = np.empty((B, T, 4 * H))
+    c_prev = np.empty((B, T, H))
+    tanh_c = np.empty((B, T, H))
+    for t in range(T):
+        z = xz[:, t] + h @ Wh.T
+        a = gates[:, t]
+        a[:, :3 * H] = ref_sigmoid(z[:, :3 * H])
+        np.tanh(z[:, 3 * H:], out=a[:, 3 * H:])
+        i, f, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+        c_prev[:, t] = c
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        hs[:, t] = h
+        tanh_c[:, t] = tc
+    cache = {"x": x, "hs": hs, "gates": gates, "c_prev": c_prev, "tanh_c": tanh_c}
+    return hs, cache
+
+
+def ref_lstm_backward(dh_last, cache, Wx, Wh):
+    """BPTT over ref_lstm_forward's cache; dh_last [B, H] is the gradient of the last h."""
+    x, hs, gates, c_prev, tanh_c = cache["x"], cache["hs"], cache["gates"], cache["c_prev"], cache["tanh_c"]
+    B, T, D = x.shape
+    H = Wh.shape[1]
+    dz_all = np.empty((B, T, 4 * H))
+    dh = dh_last
+    dc_next = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        a = gates[:, t]
+        i, f, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+        tc = tanh_c[:, t]
+        dc = dc_next + dh * o * (1.0 - tc * tc)
+        dc_next = dc * f
+        dz = dz_all[:, t]
+        dz[:, :H] = dc * g
+        dz[:, H:2 * H] = dc * c_prev[:, t]
+        dz[:, 2 * H:3 * H] = dh * tc
+        dz[:, :3 * H] *= a[:, :3 * H]
+        dz[:, :3 * H] *= 1.0 - a[:, :3 * H]
+        dz[:, 3 * H:] = dc * i * (1.0 - g * g)
+        dh = dz @ Wh
+    flat_dz = dz_all.reshape(B * T, 4 * H)
+    dWx = flat_dz.T @ x.reshape(B * T, D)
+    h_prev = np.concatenate([np.zeros((B, 1, H)), hs[:, :-1]], axis=1)
+    dWh = flat_dz.T @ h_prev.reshape(B * T, H)
+    db = dz_all.sum(axis=(0, 1))
+    dx = (flat_dz @ Wx).reshape(B, T, D)
+    return dx, {"Wx": dWx, "Wh": dWh, "b": db}

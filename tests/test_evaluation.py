@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _reference import (
     ref_auprc_rank_enum,
@@ -68,6 +70,20 @@ class TestAuroc:
         scores, labels = random_scored_instance(rng)
         assert auroc(-scores, 1 - labels) == pytest.approx(auroc(scores, labels), abs=1e-12)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_invariant_under_any_strictly_increasing_transform(self, data):
+        # scores index a few levels, so ties are common; the transform maps
+        # level k to the k-th of a sorted set of distinct floats
+        n_levels = data.draw(st.integers(1, 8))
+        levels = data.draw(st.lists(st.integers(0, n_levels - 1), min_size=2, max_size=40))
+        labels = data.draw(st.lists(st.sampled_from([0, 1]), min_size=len(levels), max_size=len(levels)))
+        if len(set(labels)) < 2:
+            labels[0] = 1 - labels[0]
+        image = sorted(data.draw(st.sets(st.floats(allow_nan=False), min_size=n_levels, max_size=n_levels)))
+        levels = np.asarray(levels)
+        assert auroc(np.asarray(image)[levels], labels) == auroc(levels, labels)
+
 
 class TestAuprc:
     def test_perfect_ranking(self):
@@ -79,6 +95,14 @@ class TestAuprc:
     def test_no_positives_error(self):
         with pytest.raises(UndefinedMetricError):
             auprc([0.4, 0.6], [0, 0])
+
+    def test_non_binary_labels_rejected(self):
+        with pytest.raises(ValueError, match="0/1"):
+            auprc([0.1, 0.9, 0.5], [0, 2, 1])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            auprc([0.1, 0.9, 0.5], [0, 1])
 
     def test_matches_rank_enumeration(self):
         rng = np.random.default_rng(3)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -239,3 +240,28 @@ class TestCheckpoint:
             assert np.array_equal(params[key], value)
         with pytest.raises(SchemaError):
             load_checkpoint(path, b"\x00" * 32)
+
+    def test_truncated_file_raises_schema_error(self, tmp_path):
+        rng = np.random.default_rng(0)
+        model = build_model("lr", Task.MORTALITY, rng)
+        digest = b"\x01" * 32
+        meta = {"kind": "lr", "task": "mortality24"}
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model.params, digest, meta)
+        raw = path.read_bytes()
+        meta_start = 4 + 2 + 32 + 4
+        name = sorted(model.params)[0]
+        first_param = meta_start + len(json.dumps(meta, sort_keys=True)) + 4
+        first_shape = first_param + 2 + len(name) + 1
+        first_data = first_shape + 8 * model.params[name].ndim
+        cuts = {
+            "magic": 2,
+            "meta": meta_start + 3,
+            "shape": first_shape + 5,
+            "data": first_data + 3,
+            "last byte": len(raw) - 1,
+        }
+        for cut in cuts.values():
+            path.write_bytes(raw[:cut])
+            with pytest.raises(SchemaError, match="truncated checkpoint"):
+                load_checkpoint(path, digest)
