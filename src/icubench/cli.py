@@ -24,10 +24,10 @@ from .experiment import (
     render_comparison,
     run_experiment,
     summarize_cohort,
+    write_audit_files,
     write_reports,
 )
 from .ingestion import load_dataset
-from .schema import canonical_schema
 from .synth import SynthConfig, generate
 
 EXIT_OK = 0
@@ -96,19 +96,17 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_cohort(args) -> int:
-    schema = canonical_schema()
-    dataset = load_dataset(args.data_dir, schema)
+    dataset = load_dataset(args.data_dir)
     report = select_base_cohort(list(dataset.metas.values()), dataset.record_counts)
-    included = {sid: dataset.metas[sid] for sid in report.included}
-    text = dataset.report.render() + "\n" + report.render() + "\n" + summarize_cohort(included)
+    ingest_text = dataset.report.render()
+    cohort_text = report.render()
+    demographics_text = summarize_cohort({sid: dataset.metas[sid] for sid in report.included})
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "ingestion_report.txt").write_text(dataset.report.render(), encoding="utf-8")
-        (out / "cohort_report.txt").write_text(report.render() + "\n" + summarize_cohort(included), encoding="utf-8")
+        write_audit_files(out, ingest_text, cohort_text, demographics_text)
         print(f"wrote audit files to {out}")
     else:
-        print(text, end="")
+        print(ingest_text + "\n" + cohort_text + "\n" + demographics_text, end="")
     return EXIT_OK
 
 

@@ -222,9 +222,8 @@ def _degenerate_t(mean_diff: float) -> TTestResult:
 
 @dataclass
 class FoldedResult:
-    """Per-fold metric dicts plus their aggregate (mean, ci95 half-width)."""
+    """The aggregate of per-fold metric dicts (mean, ci95 half-width)."""
 
-    per_fold: list[dict]
     mean: dict = field(default_factory=dict)
     ci95: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
@@ -232,7 +231,7 @@ class FoldedResult:
 
 def aggregate_metric_dicts(per_fold: list[dict]) -> FoldedResult:
     """Aggregate each metric over the folds where it has a defined value."""
-    result = FoldedResult(per_fold=per_fold)
+    result = FoldedResult()
     keys: list[str] = []
     for fold in per_fold:
         for key in fold:

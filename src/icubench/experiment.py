@@ -280,7 +280,7 @@ def _fmt_cell(value) -> str:
     return f"{value:.4f}"
 
 
-def summarize_cohort(metas: Mapping[int, object], grids=None) -> str:
+def summarize_cohort(metas: Mapping[int, object]) -> str:
     """Demographics table split by hospital outcome (counts, medians, IQRs)."""
     rows = list(metas.values())
     strata = {
@@ -375,7 +375,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     for table, filename in TABLE_FILES.items():
         if table != "diagnosis" and not (data_dir / filename).exists():
             raise DataError(f"missing input table {data_dir / filename}")
-    dataset = load_dataset(data_dir, schema)
+    dataset = load_dataset(data_dir)
 
     base = cohort_mod.select_base_cohort(list(dataset.metas.values()), dataset.record_counts)
     grids = {
@@ -600,14 +600,18 @@ def render_comparison(rows: list[ComparisonRow]) -> str:
 def write_reports(report: EvalReport, out_dir) -> dict[str, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "json": out_dir / "report.json",
-        "text": out_dir / "report.txt",
-        "ingestion": out_dir / "ingestion_report.txt",
-        "cohort": out_dir / "cohort_report.txt",
-    }
+    paths = {"json": out_dir / "report.json", "text": out_dir / "report.txt"}
     paths["json"].write_text(report_json(report), encoding="utf-8")
     paths["text"].write_text(report_text(report), encoding="utf-8")
-    paths["ingestion"].write_text(report.ingest_text, encoding="utf-8")
-    paths["cohort"].write_text(report.cohort_text + "\n" + report.demographics_text, encoding="utf-8")
+    paths.update(write_audit_files(out_dir, report.ingest_text, report.cohort_text, report.demographics_text))
+    return paths
+
+
+def write_audit_files(out_dir, ingest_text: str, cohort_text: str, demographics_text: str) -> dict[str, Path]:
+    """Write ingestion_report.txt and cohort_report.txt (cohort audit, then demographics)."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {"ingestion": out_dir / "ingestion_report.txt", "cohort": out_dir / "cohort_report.txt"}
+    paths["ingestion"].write_text(ingest_text, encoding="utf-8")
+    paths["cohort"].write_text(cohort_text + "\n" + demographics_text, encoding="utf-8")
     return paths

@@ -1,12 +1,25 @@
-"""Readers for eICU-shaped CSV tables (patient, lab, nurseCharting, diagnosis).
+"""Readers for the four eICU-CRD v1.0 tables (patient, lab, nurseCharting, diagnosis).
 
-Long tables (lab, nurseCharting) are streamed row by row by load_records, so
-its peak memory does not depend on file length; load_dataset groups the
-stream per stay and so holds every kept row.  Rows with missing or extra
-cells (an unquoted comma inside a value, for instance) are counted as
-malformed and skipped; a file that is not UTF-8 is a data error.
-Measurement values are kept verbatim as strings; parsing is the binning
-step's job.
+Column names are fixed; each table must have a header row naming at least
+these columns, in any order (other columns are ignored):
+
+    patient.csv        patientunitstayid, uniquepid, age, gender, ethnicity,
+                       apacheadmissiondx, hospitaldischargestatus,
+                       unitdischargeoffset, and optionally hospitaldischargeoffset
+    lab.csv            patientunitstayid, labresultoffset, labname, labresult
+    nurseCharting.csv  patientunitstayid, nursingchartoffset,
+                       nursingchartcelltypevallabel, nursingchartvalue
+    diagnosis.csv      patientunitstayid, icd9code
+
+An empty file or a missing column is a SchemaError.  Long tables (lab,
+nurseCharting) are streamed row by row by load_records, so its peak memory
+does not depend on file length; load_dataset groups the stream per stay and
+so holds every kept row.  Blank lines are skipped.  Rows with missing or
+extra cells (an unquoted comma inside a value, for instance) are counted as
+malformed and skipped; a file that is not UTF-8, or that the CSV parser
+cannot read (an unterminated quote running past the field size limit, for
+instance), is a data error.  Measurement values are kept verbatim as
+strings; parsing is the binning step's job.
 
 Where the source data offers the same variable under several labels, the
 default alias map below documents the choice: vitals, GCS components,
@@ -19,10 +32,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from .errors import DataError, SchemaError
 from .schema import (
@@ -32,7 +45,6 @@ from .schema import (
     DischargeStatus,
     StayMeta,
     StayRecordRaw,
-    VariableSpec,
     parse_age,
 )
 
@@ -49,35 +61,19 @@ TABLE_FILES = {
     DIAGNOSIS: "diagnosis.csv",
 }
 
-DEFAULT_COLUMN_MAPS = {
-    PATIENT: {
-        "patientunitstayid": "stay_id",
-        "uniquepid": "patient_id",
-        "age": "age",
-        "gender": "gender",
-        "ethnicity": "ethnicity",
-        "apacheadmissiondx": "admission_diagnosis",
-        "hospitaldischargestatus": "hospital_discharge_status",
-        "unitdischargeoffset": "unit_discharge_offset_minutes",
-        "hospitaldischargeoffset": "hospital_discharge_offset_minutes",
-    },
-    LAB: {
-        "patientunitstayid": "stay_id",
-        "labresultoffset": "offset_minutes",
-        "labname": "variable",
-        "labresult": "value",
-    },
-    NURSECHARTING: {
-        "patientunitstayid": "stay_id",
-        "nursingchartoffset": "offset_minutes",
-        "nursingchartcelltypevallabel": "variable",
-        "nursingchartvalue": "value",
-    },
-    DIAGNOSIS: {
-        "patientunitstayid": "stay_id",
-        "icd9code": "code",
-    },
+#: The eICU columns each table is read by, in the order the loaders take them.
+TABLE_COLUMNS = {
+    PATIENT: (
+        "patientunitstayid", "uniquepid", "age", "gender", "ethnicity", "apacheadmissiondx",
+        "hospitaldischargestatus", "unitdischargeoffset", "hospitaldischargeoffset",
+    ),
+    LAB: ("patientunitstayid", "labresultoffset", "labname", "labresult"),
+    NURSECHARTING: ("patientunitstayid", "nursingchartoffset", "nursingchartcelltypevallabel", "nursingchartvalue"),
+    DIAGNOSIS: ("patientunitstayid", "icd9code"),
 }
+
+#: Columns a table may lack; their cells then read as empty.
+OPTIONAL_COLUMNS = frozenset({"hospitaldischargeoffset"})
 
 # Source measurement labels -> schema variable names.  Canonical names map to
 # themselves so synthetic dumps can use them directly.
@@ -105,40 +101,6 @@ DEFAULT_VARIABLE_MAP: dict[str, str] = {
     "GCS Verbal": "Glasgow Coma Score Verbal",
 }
 
-REQUIRED_META_FIELDS = (
-    "stay_id",
-    "patient_id",
-    "age",
-    "gender",
-    "ethnicity",
-    "admission_diagnosis",
-    "hospital_discharge_status",
-    "unit_discharge_offset_minutes",
-)
-
-
-@dataclass(frozen=True)
-class TableSource:
-    """One CSV file plus the column (and measurement-label) mapping for it."""
-
-    path: Path
-    table: str
-    column_map: dict[str, str] = field(default_factory=dict)
-    variable_map: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.table not in TABLE_FILES:
-            raise SchemaError(f"unknown table kind {self.table!r}")
-        if not self.column_map:
-            object.__setattr__(self, "column_map", dict(DEFAULT_COLUMN_MAPS[self.table]))
-        if not self.variable_map and self.table in (LAB, NURSECHARTING):
-            object.__setattr__(self, "variable_map", dict(DEFAULT_VARIABLE_MAP))
-
-
-def table_source(data_dir, table: str) -> TableSource:
-    return TableSource(path=Path(data_dir) / TABLE_FILES[table], table=table)
-
-
 #: Messages IngestionReport.render prints before summarizing the rest.
 MAX_MESSAGES = 200
 
@@ -152,9 +114,6 @@ class IngestionReport:
     rows_unmapped_variable: dict[str, int] = field(default_factory=dict)
     rows_malformed: dict[str, int] = field(default_factory=dict)
     messages: list[str] = field(default_factory=list)
-
-    def bump(self, counter: dict[str, int], table: str, n: int = 1) -> None:
-        counter[table] = counter.get(table, 0) + n
 
     def render(self) -> str:
         tables = sorted(set(self.rows_read) | set(self.rows_kept))
@@ -173,50 +132,58 @@ class IngestionReport:
         return "\n".join(lines) + "\n"
 
 
-@contextmanager
-def _open_reader(src: TableSource):
-    """A DictReader over the file; undecodable bytes become a DataError."""
-    try:
-        fh = open(src.path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {src.path}: {exc}") from exc
-    with fh:
-        try:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise SchemaError(f"{src.path}: empty file, expected a header row")
-            yield reader
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{src.path}: not valid UTF-8 after line {reader.line_num} ({exc.reason})") from exc
+def _add(counter: dict[str, int], table: str, n: int) -> None:
+    """Add n to a table's counter; a table gets a key only once something is counted."""
+    if n:
+        counter[table] = counter.get(table, 0) + n
 
 
-def _rows(reader: csv.DictReader, report: IngestionReport, table: str) -> Iterator[dict[str, str]]:
-    """The reader's rows that have exactly one cell per header column.
+def _table_rows(path, table: str, report: IngestionReport) -> Iterator[tuple[str, ...]]:
+    """Stream one table's rows as tuples of the cells in TABLE_COLUMNS[table].
 
-    DictReader fills a short row's missing cells with None and puts a long
-    row's extra cells under the key None; both are counted as malformed and
-    skipped.  Rows read are counted once, when the iteration ends.
+    Blank lines are skipped uncounted.  A row with more or fewer cells than
+    the header is counted as malformed and skipped.  When a header names a
+    column twice, its last occurrence is read.  Rows read (blank lines
+    aside) and malformed rows are counted once, when the iteration ends.
     """
-    width = len(reader.fieldnames)
-    n = 0
+    columns = TABLE_COLUMNS[table]
     try:
-        for n, row in enumerate(reader, 1):
-            if None in row or None in row.values():
-                report.bump(report.rows_malformed, table)
-                report.messages.append(f"{table} line {reader.line_num} skipped: not {width} cells")
-                continue
-            yield row
-    finally:
-        if n:
-            report.bump(report.rows_read, table, n)
-
-
-def _require_columns(src: TableSource, fieldnames: Sequence[str], required_targets: Iterable[str]) -> None:
-    present_targets = {src.column_map[c] for c in fieldnames if c in src.column_map}
-    for target in required_targets:
-        if target not in present_targets:
-            missing = [c for c, t in src.column_map.items() if t == target]
-            raise SchemaError(f"{src.path}: missing required column {missing[0]!r} (provides {target})")
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    n = malformed = 0
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file, expected a header row")
+            index = {name: i for i, name in enumerate(header)}
+            for name in columns:
+                if name not in index and name not in OPTIONAL_COLUMNS:
+                    raise SchemaError(f"{path}: missing required column {name!r}")
+            if all(name in index for name in columns):
+                pick = itemgetter(*(index[name] for name in columns))
+            else:
+                def pick(row):
+                    return tuple(row[index[name]] if name in index else "" for name in columns)
+            width = len(header)
+            for row in reader:
+                if not row:
+                    continue
+                n += 1
+                if len(row) != width:
+                    malformed += 1
+                    report.messages.append(f"{table} line {reader.line_num} skipped: not {width} cells")
+                    continue
+                yield pick(row)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not valid UTF-8 after line {reader.line_num} ({exc.reason})") from exc
+        except csv.Error as exc:
+            raise DataError(f"{path}: unreadable CSV after line {reader.line_num} ({exc})") from exc
+        finally:
+            _add(report.rows_read, table, n)
+            _add(report.rows_malformed, table, malformed)
 
 
 def parse_patient_id(text: str) -> int:
@@ -242,109 +209,100 @@ def _clean_category(text: str) -> str:
     return text if text else UNKNOWN
 
 
-def load_stay_meta(src: TableSource, report: IngestionReport | None = None) -> list[StayMeta]:
+def load_stay_meta(path, report: IngestionReport | None = None) -> list[StayMeta]:
     """Read the patient table into StayMeta rows.
 
     Rows with malformed numeric fields (ids, offsets) are skipped and counted
     in the report; unparseable categorical cells become the reserved
     "unknown" value instead of failing the row.
     """
-    if src.table != PATIENT:
-        raise SchemaError(f"load_stay_meta expects a patient source, got {src.table!r}")
     report = report if report is not None else IngestionReport()
     metas: list[StayMeta] = []
-    with _open_reader(src) as reader:
-        _require_columns(src, reader.fieldnames, REQUIRED_META_FIELDS)
-        inverse = {t: c for c, t in src.column_map.items() if c in reader.fieldnames}
-        for row in _rows(reader, report, PATIENT):
-            try:
-                stay_id = int(row[inverse["stay_id"]])
-                offset = int(row[inverse["unit_discharge_offset_minutes"]])
-                if offset <= 0:
-                    raise ValueError("nonpositive unit discharge offset")
-                status = _parse_status(row[inverse["hospital_discharge_status"]])
-                death_offset = None
-                death_col = inverse.get("hospital_discharge_offset_minutes")
-                if status == DischargeStatus.EXPIRED and death_col and row.get(death_col, "").strip():
-                    death_offset = int(row[death_col])
-                metas.append(
-                    StayMeta(
-                        stay_id=stay_id,
-                        patient_id=parse_patient_id(row[inverse["patient_id"]]),
-                        age=parse_age(row[inverse["age"]]),
-                        gender=_clean_category(row[inverse["gender"]]),
-                        ethnicity=_clean_category(row[inverse["ethnicity"]]),
-                        admission_diagnosis=_clean_category(row[inverse["admission_diagnosis"]]),
-                        hospital_discharge_status=status,
-                        unit_discharge_offset_minutes=offset,
-                        death_offset_minutes=death_offset,
-                    )
+    malformed = 0
+    rows = _table_rows(path, PATIENT, report)
+    for stay, patient, age, gender, ethnicity, diagnosis, status_text, offset_text, death_text in rows:
+        try:
+            stay_id = int(stay)
+            offset = int(offset_text)
+            if offset <= 0:
+                raise ValueError("nonpositive unit discharge offset")
+            status = _parse_status(status_text)
+            death_offset = None
+            if status == DischargeStatus.EXPIRED and death_text.strip():
+                death_offset = int(death_text)
+            metas.append(
+                StayMeta(
+                    stay_id=stay_id,
+                    patient_id=parse_patient_id(patient),
+                    age=parse_age(age),
+                    gender=_clean_category(gender),
+                    ethnicity=_clean_category(ethnicity),
+                    admission_diagnosis=_clean_category(diagnosis),
+                    hospital_discharge_status=status,
+                    unit_discharge_offset_minutes=offset,
+                    death_offset_minutes=death_offset,
                 )
-                report.bump(report.rows_kept, PATIENT)
-            except (KeyError, ValueError) as exc:
-                report.bump(report.rows_malformed, PATIENT)
-                report.messages.append(f"patient row skipped: {exc}")
+            )
+        except ValueError as exc:
+            malformed += 1
+            report.messages.append(f"patient row skipped: {exc}")
+    _add(report.rows_kept, PATIENT, len(metas))
+    _add(report.rows_malformed, PATIENT, malformed)
     return metas
 
 
-def load_records(
-    src: TableSource,
-    schema: Sequence[VariableSpec],
-    report: IngestionReport | None = None,
-) -> Iterator[StayRecordRaw]:
-    """Stream measurement rows whose mapped variable is in the schema.
+def load_records(path, table: str, report: IngestionReport | None = None) -> Iterator[StayRecordRaw]:
+    """Stream the measurement rows of a lab or nurseCharting table.
 
-    Values are yielded verbatim; rows naming variables outside the schema
-    are filtered (and counted).  File order is preserved.
+    Labels are mapped through DEFAULT_VARIABLE_MAP; rows with a label it
+    lacks are filtered (and counted).  Values are yielded verbatim, in file
+    order.
     """
-    if src.table not in (LAB, NURSECHARTING):
-        raise SchemaError(f"load_records expects lab or nursecharting, got {src.table!r}")
     report = report if report is not None else IngestionReport()
-    schema_names = {s.name for s in schema}
-    with _open_reader(src) as reader:
-        _require_columns(src, reader.fieldnames, ("stay_id", "offset_minutes", "variable", "value"))
-        inverse = {t: c for c, t in src.column_map.items() if c in reader.fieldnames}
-        for row in _rows(reader, report, src.table):
-            variable = src.variable_map.get(row[inverse["variable"]].strip())
-            if variable is None or variable not in schema_names:
-                report.bump(report.rows_unmapped_variable, src.table)
+    kept = unmapped = malformed = 0
+    try:
+        for stay, offset_text, label, value in _table_rows(path, table, report):
+            variable = DEFAULT_VARIABLE_MAP.get(label.strip())
+            if variable is None:
+                unmapped += 1
                 continue
             try:
-                stay_id = int(row[inverse["stay_id"]])
-                offset = int(row[inverse["offset_minutes"]])
+                stay_id = int(stay)
+                offset = int(offset_text)
             except ValueError:
-                report.bump(report.rows_malformed, src.table)
+                malformed += 1
                 continue
-            report.bump(report.rows_kept, src.table)
-            yield StayRecordRaw(stay_id=stay_id, variable=variable, offset_minutes=offset, value=row[inverse["value"]])
+            kept += 1
+            yield StayRecordRaw(stay_id=stay_id, variable=variable, offset_minutes=offset, value=value)
+    finally:
+        _add(report.rows_kept, table, kept)
+        _add(report.rows_unmapped_variable, table, unmapped)
+        _add(report.rows_malformed, table, malformed)
 
 
-def load_diagnoses(src: TableSource, report: IngestionReport | None = None) -> dict[int, frozenset[str]]:
+def load_diagnoses(path, report: IngestionReport | None = None) -> dict[int, frozenset[str]]:
     """Map stay id -> normalized ICD-9 code set.
 
     A source cell may list several comma-separated codes; each is trimmed
     and upper-cased individually.
     """
-    if src.table != DIAGNOSIS:
-        raise SchemaError(f"load_diagnoses expects a diagnosis source, got {src.table!r}")
     report = report if report is not None else IngestionReport()
     codes: dict[int, set[str]] = {}
-    with _open_reader(src) as reader:
-        _require_columns(src, reader.fieldnames, ("stay_id", "code"))
-        inverse = {t: c for c, t in src.column_map.items() if c in reader.fieldnames}
-        for row in _rows(reader, report, DIAGNOSIS):
-            try:
-                stay_id = int(row[inverse["stay_id"]])
-            except ValueError:
-                report.bump(report.rows_malformed, DIAGNOSIS)
-                continue
-            cell = row[inverse["code"]]
-            parsed = [c.strip().upper() for c in cell.split(",") if c.strip()]
-            if not parsed:
-                report.bump(report.rows_malformed, DIAGNOSIS)
-                continue
-            codes.setdefault(stay_id, set()).update(parsed)
-            report.bump(report.rows_kept, DIAGNOSIS)
+    kept = malformed = 0
+    for stay, cell in _table_rows(path, DIAGNOSIS, report):
+        try:
+            stay_id = int(stay)
+        except ValueError:
+            malformed += 1
+            continue
+        parsed = [c.strip().upper() for c in cell.split(",") if c.strip()]
+        if not parsed:
+            malformed += 1
+            continue
+        codes.setdefault(stay_id, set()).update(parsed)
+        kept += 1
+    _add(report.rows_kept, DIAGNOSIS, kept)
+    _add(report.rows_malformed, DIAGNOSIS, malformed)
     return {sid: frozenset(cs) for sid, cs in codes.items()}
 
 
@@ -362,11 +320,11 @@ class Dataset:
         return {sid: len(recs) for sid, recs in self.records_by_stay.items()}
 
 
-def load_dataset(data_dir, schema: Sequence[VariableSpec]) -> Dataset:
+def load_dataset(data_dir) -> Dataset:
     """Load and group one dump directory (patient, lab, nurseCharting, diagnosis)."""
     data_dir = Path(data_dir)
     report = IngestionReport()
-    metas = load_stay_meta(table_source(data_dir, PATIENT), report)
+    metas = load_stay_meta(data_dir / TABLE_FILES[PATIENT], report)
     meta_map: dict[int, StayMeta] = {}
     for m in metas:
         if m.stay_id in meta_map:
@@ -375,8 +333,8 @@ def load_dataset(data_dir, schema: Sequence[VariableSpec]) -> Dataset:
         meta_map[m.stay_id] = m
     grouped: dict[int, list[StayRecordRaw]] = {}
     for table in (LAB, NURSECHARTING):
-        for rec in load_records(table_source(data_dir, table), schema, report):
+        for rec in load_records(data_dir / TABLE_FILES[table], table, report):
             grouped.setdefault(rec.stay_id, []).append(rec)
     diag_path = data_dir / TABLE_FILES[DIAGNOSIS]
-    diagnoses = load_diagnoses(table_source(data_dir, DIAGNOSIS), report) if diag_path.exists() else {}
+    diagnoses = load_diagnoses(diag_path, report) if diag_path.exists() else {}
     return Dataset(metas=meta_map, records_by_stay=grouped, diagnoses=diagnoses, report=report)

@@ -14,7 +14,9 @@ Layout (little-endian):
 
 Loading rejects files whose schema hash differs from the active one, so a
 model can never silently run against a different vocabulary, and raises
-``SchemaError`` for a file that ends before its layout does.
+``SchemaError`` for a file that ends before its layout does, has bytes after
+its last parameter, or holds meta that is not UTF-8 JSON or a parameter name
+that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -83,14 +85,23 @@ def load_checkpoint(path, expected_schema_digest: bytes) -> tuple[dict, dict[str
         if digest != expected_schema_digest:
             raise SchemaError(f"{path}: checkpoint schema hash does not match the active vocabulary")
         (meta_len,) = struct.unpack("<I", _read(fh, 4, path))
-        meta = json.loads(_read(fh, meta_len, path).decode("utf-8"))
+        meta_bytes = _read(fh, meta_len, path)
+        try:
+            meta = json.loads(meta_bytes.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both
+            raise SchemaError(f"{path}: corrupt checkpoint meta ({exc})") from exc
         (n_params,) = struct.unpack("<I", _read(fh, 4, path))
         params: dict[str, np.ndarray] = {}
         for _ in range(n_params):
             (name_len,) = struct.unpack("<H", _read(fh, 2, path))
-            name = _read(fh, name_len, path).decode("utf-8")
+            try:
+                name = _read(fh, name_len, path).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{path}: corrupt parameter name ({exc})") from exc
             (ndim,) = struct.unpack("<B", _read(fh, 1, path))
             shape = struct.unpack(f"<{ndim}q", _read(fh, 8 * ndim, path))
             count = int(np.prod(shape)) if ndim else 1
             params[name] = np.frombuffer(_read(fh, 8 * count, path), dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise SchemaError(f"{path}: bytes after the last parameter")
     return meta, params

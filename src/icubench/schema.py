@@ -209,7 +209,6 @@ class StayMeta:
     hospital_discharge_status: DischargeStatus
     unit_discharge_offset_minutes: int
     death_offset_minutes: Optional[int] = None
-    icd9_codes: frozenset[str] = frozenset()
 
     def __post_init__(self):
         if self.death_offset_minutes is not None and self.hospital_discharge_status != DischargeStatus.EXPIRED:

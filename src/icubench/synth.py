@@ -24,6 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError
+from .ingestion import DIAGNOSIS, LAB, NURSECHARTING, PATIENT, TABLE_COLUMNS, TABLE_FILES
 from .phenotypes import N_PHENOTYPES, PhenotypeCatalog
 
 VITAL_VARIABLES = (
@@ -180,15 +181,7 @@ def _sample_gcs(rng, p_low: np.ndarray) -> dict[str, np.ndarray]:
     return values
 
 
-class _PatientRows:
-    def __init__(self):
-        self.patient: list[list[str]] = []
-        self.nurse: list[list[str]] = []
-        self.lab: list[list[str]] = []
-        self.diagnosis: list[list[str]] = []
-
-
-def _generate_stay(cfg: SynthConfig, rows: _PatientRows, rng, stay_id: int, patient_id: str,
+def _generate_stay(cfg: SynthConfig, rows: dict[str, list[list[str]]], rng, stay_id: int, patient_id: str,
                    underage: bool, sparse: bool, force_alive: bool) -> None:
     miss = cfg._missing_map()
     s = cfg.signal_strength
@@ -223,7 +216,7 @@ def _generate_stay(cfg: SynthConfig, rows: _PatientRows, rng, stay_id: int, pati
         dx_w = dx_w * boost
     dx = _ADMISSION_DX[rng.choice(len(_ADMISSION_DX), p=dx_w / dx_w.sum())]
 
-    rows.patient.append([
+    rows[PATIENT].append([
         str(stay_id), patient_id, age_text, gender, ethnicity, dx,
         "Expired" if dies_in_hospital else "Alive",
         str(discharge_offset), str(hospital_offset),
@@ -257,15 +250,17 @@ def _generate_stay(cfg: SynthConfig, rows: _PatientRows, rng, stay_id: int, pati
             if not is_lab and extra_draw[h] < 0.1:
                 # second measurement in the same bin; the later one must win
                 early = _fmt(name, float(np.clip(series[h] + rng.normal(0, sigma / 2), *_RANGE[name])))
-                measurement_rows.append(("nurse", [str(stay_id), str(max(offset - 20, h * 60)), name, early]))
+                measurement_rows.append((NURSECHARTING, [str(stay_id), str(max(offset - 20, h * 60)), name, early]))
             if extra_draw[h] > 0.99:
                 value = f">{value}"  # censored entry, unparseable on purpose
-            measurement_rows.append(("lab" if is_lab else "nurse", [str(stay_id), str(offset), name, value]))
+            measurement_rows.append((LAB if is_lab else NURSECHARTING, [str(stay_id), str(offset), name, value]))
 
     for name in STATIC_VARIABLES:
         if rng.random() >= miss[name]:
             value = float(np.clip(rng.normal(_CENTER[name], _SPREAD[name]), *_RANGE[name]))
-            measurement_rows.append(("nurse", [str(stay_id), str(int(rng.integers(0, 30))), name, _fmt(name, value)]))
+            measurement_rows.append(
+                (NURSECHARTING, [str(stay_id), str(int(rng.integers(0, 30))), name, _fmt(name, value)])
+            )
 
     p_low = np.clip(0.05 + 0.12 * level + 0.35 * ramp + 0.18 * np.maximum(pattern, 0.0), 0.0, 0.92)
     gcs = _sample_gcs(rng, p_low)
@@ -275,12 +270,12 @@ def _generate_stay(cfg: SynthConfig, rows: _PatientRows, rng, stay_id: int, pati
         for h in range(n_hours):
             if gcs_keep[name][h]:
                 offset = h * 60 + int(gcs_minutes[gi, h])
-                measurement_rows.append(("nurse", [str(stay_id), str(offset), name, str(int(gcs[name][h]))]))
+                measurement_rows.append((NURSECHARTING, [str(stay_id), str(offset), name, str(int(gcs[name][h]))]))
 
     if sparse:
         measurement_rows = measurement_rows[:_SPARSE_RECORD_COUNT]
     for table, row in measurement_rows:
-        (rows.lab if table == "lab" else rows.nurse).append(row)
+        rows[table].append(row)
 
     codes: list[str] = []
     draws = rng.random(N_PHENOTYPES)
@@ -293,7 +288,7 @@ def _generate_stay(cfg: SynthConfig, rows: _PatientRows, rng, stay_id: int, pati
         merged = f"{codes[0]}, {codes[1]}"
         codes = [merged] + codes[2:]
     for code in codes:
-        rows.diagnosis.append([str(stay_id), code])
+        rows[DIAGNOSIS].append([str(stay_id), code])
 
 
 def generate(cfg: SynthConfig, out_dir) -> dict[str, Path]:
@@ -310,7 +305,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict[str, Path]:
     sparse = set(order[k_under:k_under + k_sparse].tolist())
     multi = set(order[k_under + k_sparse:k_under + k_sparse + k_multi].tolist())
 
-    rows = _PatientRows()
+    rows: dict[str, list[list[str]]] = {table: [] for table in TABLE_FILES}
     for i in range(cfg.n_patients):
         rng = np.random.default_rng((cfg.seed, 1, i))
         patient_id = str(1000 + i)
@@ -321,26 +316,12 @@ def generate(cfg: SynthConfig, out_dir) -> dict[str, Path]:
             _generate_stay(cfg, rows, rng2, stay_id=500000 + i, patient_id=patient_id,
                            underage=i in underage, sparse=False, force_alive=True)
 
-    paths = {
-        "patient": out_dir / "patient.csv",
-        "lab": out_dir / "lab.csv",
-        "nursecharting": out_dir / "nurseCharting.csv",
-        "diagnosis": out_dir / "diagnosis.csv",
-        "phenotype_map": out_dir / "phenotype_map.csv",
-    }
-    _write_csv(paths["patient"], ["patientunitstayid", "uniquepid", "age", "gender", "ethnicity",
-                                  "apacheadmissiondx", "hospitaldischargestatus", "unitdischargeoffset",
-                                  "hospitaldischargeoffset"], rows.patient)
-    _write_csv(paths["lab"], ["patientunitstayid", "labresultoffset", "labname", "labresult"], rows.lab)
-    _write_csv(paths["nursecharting"], ["patientunitstayid", "nursingchartoffset",
-                                        "nursingchartcelltypevallabel", "nursingchartvalue"], rows.nurse)
-    _write_csv(paths["diagnosis"], ["patientunitstayid", "icd9code"], rows.diagnosis)
+    paths = {table: out_dir / name for table, name in TABLE_FILES.items()}
+    for table, path in paths.items():
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(TABLE_COLUMNS[table])
+            writer.writerows(rows[table])
+    paths["phenotype_map"] = out_dir / "phenotype_map.csv"
     synthetic_catalog().to_file(paths["phenotype_map"])
     return paths
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)

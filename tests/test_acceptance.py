@@ -137,7 +137,7 @@ def test_criterion_4_ohe_embedding_bitwise(tmp_path):
 def test_criterion_5_preprocessing_completeness(tmp_path):
     data = tmp_path / "data"
     generate(SynthConfig(n_patients=1000, hours_range=(5, 30), missingness=0.30, seed=19), data)
-    dataset = load_dataset(data, SCHEMA)
+    dataset = load_dataset(data)
     base = select_base_cohort(list(dataset.metas.values()), dataset.record_counts)
     vocabs = build_vocabs(dataset.metas.values(),
                           (r for recs in dataset.records_by_stay.values() for r in recs))
@@ -264,7 +264,7 @@ def test_criterion_10_real_data_reproduction():
     if not data_dir:
         print("[criterion 10] SKIP  real eICU-CRD cohort counts (set ICUBENCH_EICU_DIR to run)")
         pytest.skip("credentialed eICU-CRD data not available")
-    dataset = load_dataset(data_dir, SCHEMA)
+    dataset = load_dataset(data_dir)
     base = select_base_cohort(list(dataset.metas.values()), dataset.record_counts)
     included = {sid: dataset.metas[sid] for sid in base.included}
     expired = sum(1 for m in included.values() if m.hospital_discharge_status == DischargeStatus.EXPIRED)

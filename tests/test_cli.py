@@ -31,6 +31,13 @@ class TestCohortCommand:
         assert (tmp_path / "audit" / "cohort_report.txt").exists()
         assert (tmp_path / "audit" / "ingestion_report.txt").exists()
 
+    def test_audit_files_match_those_of_run(self, small_dump, tmp_path):
+        assert main(["cohort", "--data-dir", str(small_dump), "--out", str(tmp_path / "audit")]) == 0
+        assert main(["run", "--task", "los", "--model", "lr", "--data-dir", str(small_dump),
+                     "--folds", "3", "--epochs", "1", "--out", str(tmp_path / "run")]) == 0
+        for name in ("ingestion_report.txt", "cohort_report.txt"):
+            assert (tmp_path / "audit" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
 
 class TestBadInput:
     @pytest.fixture
@@ -50,6 +57,15 @@ class TestBadInput:
             fh.write(b"7,95,pH,7.3\xff\n")
         assert main(["cohort", "--data-dir", str(tiny_dump)]) == 3
         assert "lab.csv" in capsys.readouterr().err
+
+    def test_unterminated_quote_is_data_error(self, tiny_dump, capsys):
+        # the open quote runs the cell on past csv's 128 KB field size limit
+        lab = tiny_dump / "lab.csv"
+        header, rows = lab.read_text(encoding="utf-8").split("\n", 1)
+        lab.write_text(header + '\n7,95,pH,"7.31\n' + rows * (1 + 200_000 // len(rows)), encoding="utf-8")
+        assert main(["cohort", "--data-dir", str(tiny_dump)]) == 3
+        err = capsys.readouterr().err
+        assert "lab.csv: unreadable CSV after line" in err and "field larger than field limit" in err
 
 
 class TestRunCommand:

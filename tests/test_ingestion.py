@@ -5,15 +5,15 @@ import pytest
 
 from icubench.errors import SchemaError
 from icubench.ingestion import (
+    DEFAULT_VARIABLE_MAP,
+    TABLE_FILES,
     IngestionReport,
-    TableSource,
     load_diagnoses,
     load_records,
     load_stay_meta,
     parse_patient_id,
-    table_source,
 )
-from icubench.schema import DischargeStatus, canonical_schema
+from icubench.schema import CATEGORICAL_VARIABLES, NUMERICAL_VARIABLES, DischargeStatus, canonical_schema
 
 PATIENT_HEADER = ("patientunitstayid,uniquepid,age,gender,ethnicity,apacheadmissiondx,"
                   "hospitaldischargestatus,unitdischargeoffset,hospitaldischargeoffset")
@@ -37,7 +37,7 @@ def patient_csv(tmp_path):
 
 class TestStayMeta:
     def test_parses_rows(self, patient_csv):
-        metas = load_stay_meta(TableSource(path=patient_csv, table="patient"))
+        metas = load_stay_meta(patient_csv)
         assert len(metas) == 3  # malformed offset row skipped
         by_id = {m.stay_id: m for m in metas}
         assert by_id[7].age == 90.0
@@ -49,9 +49,16 @@ class TestStayMeta:
 
     def test_malformed_rows_counted(self, patient_csv):
         report = IngestionReport()
-        load_stay_meta(TableSource(path=patient_csv, table="patient"), report)
+        load_stay_meta(patient_csv, report)
         assert report.rows_malformed["patient"] == 1
         assert report.rows_kept["patient"] == 3
+
+    def test_discharge_offset_column_is_optional(self, tmp_path):
+        header = PATIENT_HEADER.replace(",hospitaldischargeoffset", "")
+        path = write(tmp_path / "patient.csv", [header, "7,1001,50,Female,Caucasian,Sepsis,Expired,2880"])
+        (meta,) = load_stay_meta(path)
+        assert meta.hospital_discharge_status == DischargeStatus.EXPIRED
+        assert meta.death_offset_minutes is None
 
     def test_missing_stay_id_column_is_schema_error(self, tmp_path):
         path = write(tmp_path / "patient.csv", [
@@ -59,7 +66,7 @@ class TestStayMeta:
             "7,1001,50,Female,Caucasian,Sepsis,Alive,2880,",
         ])
         with pytest.raises(SchemaError, match="patientunitstayid"):
-            load_stay_meta(TableSource(path=path, table="patient"))
+            load_stay_meta(path)
 
     def test_nonnumeric_patient_id_hashes_stably(self):
         assert parse_patient_id("002-10009") == parse_patient_id("002-10009")
@@ -76,32 +83,35 @@ class TestRecords:
             "8,10,glucose,140",
         ])
         report = IngestionReport()
-        records = list(load_records(TableSource(path=path, table="lab"), canonical_schema(), report))
+        records = list(load_records(path, "lab", report))
         assert [(r.stay_id, r.variable, r.offset_minutes, r.value) for r in records] == [
             (7, "pH", 95, "7.31"),
             (8, "Glucose", 10, "140"),
         ]
         assert report.rows_unmapped_variable["lab"] == 1
 
+    def test_every_label_maps_into_the_schema(self):
+        # why load_records needs no schema filter: a mapped label is always a schema variable
+        assert set(DEFAULT_VARIABLE_MAP.values()) <= set(NUMERICAL_VARIABLES + CATEGORICAL_VARIABLES)
+
     def test_stream_length_matches_line_count(self, small_dump):
         # independent oracle: count mapped lines directly from the files
         schema = canonical_schema()
-        src = table_source(small_dump, "nursecharting")
+        path = small_dump / TABLE_FILES["nursecharting"]
         mapped = 0
-        with open(src.path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             name_col = header.index("nursingchartcelltypevallabel")
             for line in fh:
                 label = line.split(",")[name_col]
-                if src.variable_map.get(label) in {s.name for s in schema}:
+                if DEFAULT_VARIABLE_MAP.get(label) in {s.name for s in schema}:
                     mapped += 1
-        records = list(load_records(src, schema))
+        records = list(load_records(path, "nursecharting"))
         assert len(records) == mapped
 
     def test_idempotent(self, small_dump):
-        src = table_source(small_dump, "lab")
-        schema = canonical_schema()
-        assert list(load_records(src, schema)) == list(load_records(src, schema))
+        path = small_dump / TABLE_FILES["lab"]
+        assert list(load_records(path, "lab")) == list(load_records(path, "lab"))
 
     def test_bounded_memory_streaming(self, tmp_path):
         path = tmp_path / "lab.csv"
@@ -110,10 +120,8 @@ class TestRecords:
             for i in range(250_000):
                 fh.write(f"{i % 500},{i},pH,7.{i % 90:02d}\n")
         assert path.stat().st_size > 4_000_000
-        src = TableSource(path=path, table="lab")
-        schema = canonical_schema()
         tracemalloc.start()
-        count = sum(1 for _ in load_records(src, schema))
+        count = sum(1 for _ in load_records(path, "lab"))
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert count == 250_000
@@ -128,7 +136,7 @@ class TestDiagnoses:
             "7,038.9",
             "9,428.0",
         ])
-        diagnoses = load_diagnoses(TableSource(path=path, table="diagnosis"))
+        diagnoses = load_diagnoses(path)
         assert diagnoses[7] == frozenset({"038.9", "A41.9"})
         assert diagnoses[9] == frozenset({"428.0"})
         assert 8 not in diagnoses
@@ -137,7 +145,7 @@ class TestDiagnoses:
         rows = ["patientunitstayid,icd9code",
                 "1,100.0", "1,100.1", "2,100.0", "2,200.0", "3,300.0", "3,300.1"]
         path = write(tmp_path / "diagnosis.csv", rows)
-        diagnoses = load_diagnoses(TableSource(path=path, table="diagnosis"))
+        diagnoses = load_diagnoses(path)
         assert len(diagnoses) == 3
         assert len(frozenset().union(*diagnoses.values())) == 5
 
@@ -150,9 +158,9 @@ class TestReport:
         lab = write(tmp_path / "lab.csv",
                     ["patientunitstayid,labresultoffset,labname,labresult", "7,95,pH,7.31", "7,96"])
         diagnosis = write(tmp_path / "diagnosis.csv", ["patientunitstayid,icd9code", "7,038.9", "9"])
-        assert len(load_stay_meta(TableSource(path=patient, table="patient"), report)) == 1
-        assert len(list(load_records(TableSource(path=lab, table="lab"), canonical_schema(), report))) == 1
-        assert list(load_diagnoses(TableSource(path=diagnosis, table="diagnosis"), report)) == [7]
+        assert len(load_stay_meta(patient, report)) == 1
+        assert len(list(load_records(lab, "lab", report))) == 1
+        assert list(load_diagnoses(diagnosis, report)) == [7]
         assert report.rows_malformed == {"patient": 1, "lab": 1, "diagnosis": 1}
 
     def test_long_rows_counted_as_malformed(self, tmp_path):
@@ -161,12 +169,31 @@ class TestReport:
         patient = write(tmp_path / "patient.csv", [PATIENT_HEADER, "8,1002,45,Male,Hispanic,Trauma,Alive,1500,2000,5"])
         lab = write(tmp_path / "lab.csv", ["patientunitstayid,labresultoffset,labname,labresult", "7,95,pH,7,31"])
         diagnosis = write(tmp_path / "diagnosis.csv", ["patientunitstayid,icd9code", "7,038.9,995.91"])
-        assert load_stay_meta(TableSource(path=patient, table="patient"), report) == []
-        assert list(load_records(TableSource(path=lab, table="lab"), canonical_schema(), report)) == []
-        assert load_diagnoses(TableSource(path=diagnosis, table="diagnosis"), report) == {}
+        assert load_stay_meta(patient, report) == []
+        assert list(load_records(lab, "lab", report)) == []
+        assert load_diagnoses(diagnosis, report) == {}
         assert report.rows_malformed == {"patient": 1, "lab": 1, "diagnosis": 1}
         assert report.rows_read == {"patient": 1, "lab": 1, "diagnosis": 1}
         assert report.rows_kept == {}
+
+    def test_blank_lines_skipped_uncounted(self, tmp_path):
+        report = IngestionReport()
+        lab = write(tmp_path / "lab.csv",
+                    ["patientunitstayid,labresultoffset,labname,labresult", "", "7,95,pH,7.31", "", "", "7,96,pH,7.3"])
+        assert len(list(load_records(lab, "lab", report))) == 2
+        assert report.rows_read == {"lab": 2} and report.rows_kept == {"lab": 2}
+        assert report.rows_malformed == {} and report.messages == []
+
+    def test_header_only_files_add_no_counters(self, tmp_path):
+        report = IngestionReport()
+        patient = write(tmp_path / "patient.csv", [PATIENT_HEADER])
+        lab = write(tmp_path / "lab.csv", ["patientunitstayid,labresultoffset,labname,labresult"])
+        diagnosis = write(tmp_path / "diagnosis.csv", ["patientunitstayid,icd9code"])
+        assert load_stay_meta(patient, report) == []
+        assert list(load_records(lab, "lab", report)) == []
+        assert load_diagnoses(diagnosis, report) == {}
+        assert report == IngestionReport()
+        assert report.render() == "ingestion report\n================\n"
 
     def test_render_says_how_many_messages_were_cut(self):
         report = IngestionReport(messages=[f"message {i}" for i in range(205)])

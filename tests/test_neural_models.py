@@ -265,3 +265,27 @@ class TestCheckpoint:
             path.write_bytes(raw[:cut])
             with pytest.raises(SchemaError, match="truncated checkpoint"):
                 load_checkpoint(path, digest)
+
+    def test_trailing_bytes_and_corrupt_meta_raise_schema_error(self, tmp_path):
+        model = build_model("lr", Task.MORTALITY, np.random.default_rng(0))
+        digest = b"\x01" * 32
+        meta = {"kind": "lr", "task": "mortality24"}
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model.params, digest, meta)
+        raw = path.read_bytes()
+        meta_start = 4 + 2 + 32 + 4
+        first_name = meta_start + len(json.dumps(meta, sort_keys=True)) + 4 + 2
+
+        def flipped(pos):
+            return raw[:pos] + bytes([raw[pos] ^ 0xFF]) + raw[pos + 1:]
+
+        corrupt = [
+            (raw + b"junk", "bytes after the last parameter"),
+            (flipped(meta_start), "corrupt checkpoint meta"),
+            (raw[:meta_start] + b"x" + raw[meta_start + 1:], "corrupt checkpoint meta"),
+            (flipped(first_name), "corrupt parameter name"),
+        ]
+        for data, message in corrupt:
+            path.write_bytes(data)
+            with pytest.raises(SchemaError, match=message):
+                load_checkpoint(path, digest)

@@ -28,7 +28,7 @@ class TestDeterminismAndValidity:
         assert a != b
 
     def test_parses_with_zero_skipped_rows(self, small_dump):
-        dataset = load_dataset(small_dump, canonical_schema())
+        dataset = load_dataset(small_dump)
         assert dataset.report.rows_malformed == {}
         assert dataset.report.rows_unmapped_variable == {}
         assert len(dataset.metas) == 150
@@ -47,20 +47,20 @@ class TestDeterminismAndValidity:
 class TestRates:
     def test_mortality_rate_within_binomial_bounds(self, tmp_path):
         generate(SynthConfig(n_patients=10_000, hours_range=(6, 14), seed=5), tmp_path / "d")
-        dataset = load_dataset(tmp_path / "d", canonical_schema())
+        dataset = load_dataset(tmp_path / "d")
         expired = sum(1 for m in dataset.metas.values() if m.hospital_discharge_status == DischargeStatus.EXPIRED)
         rate = expired / len(dataset.metas)
         assert 0.075 <= rate <= 0.091  # 99% binomial interval around 0.083
 
     def test_unit_deaths_have_death_at_discharge(self, small_dump):
-        dataset = load_dataset(small_dump, canonical_schema())
+        dataset = load_dataset(small_dump)
         for m in dataset.metas.values():
             if m.death_offset_minutes is not None:
                 assert m.death_offset_minutes >= m.unit_discharge_offset_minutes
 
     def test_phenotype_prevalence_matches_configured_rates(self, tmp_path):
         generate(SynthConfig(n_patients=3000, hours_range=(5, 10), seed=9), tmp_path / "d")
-        dataset = load_dataset(tmp_path / "d", canonical_schema())
+        dataset = load_dataset(tmp_path / "d")
         catalog = synthetic_catalog()
         counts = np.zeros(25)
         for codes in dataset.diagnoses.values():
@@ -76,7 +76,7 @@ class TestRoundTrip:
         cfg = SynthConfig(n_patients=200, hours_range=(20, 40), seed=3,
                           underage_fraction=0.10, sparse_fraction=0.10)
         generate(cfg, tmp_path / "d")
-        dataset = load_dataset(tmp_path / "d", canonical_schema())
+        dataset = load_dataset(tmp_path / "d")
         report = select_base_cohort(list(dataset.metas.values()), dataset.record_counts)
         assert report.excluded["age <= 18"] == 20
         assert report.excluded["fewer than 15 records"] == 20
@@ -85,7 +85,7 @@ class TestRoundTrip:
     def test_multi_stay_patients_share_patient_id(self, tmp_path):
         cfg = SynthConfig(n_patients=60, hours_range=(10, 20), seed=3, multi_stay_fraction=0.2)
         generate(cfg, tmp_path / "d")
-        dataset = load_dataset(tmp_path / "d", canonical_schema())
+        dataset = load_dataset(tmp_path / "d")
         assert len(dataset.metas) == 72
         by_patient = {}
         for m in dataset.metas.values():
@@ -97,7 +97,7 @@ class TestPlantedSignal:
     @staticmethod
     def _mean_hr_gap(dump_dir):
         schema = canonical_schema()
-        dataset = load_dataset(dump_dir, schema)
+        dataset = load_dataset(dump_dir)
         pos, neg = [], []
         for sid, m in dataset.metas.items():
             grid = build_stay_grid(m, dataset.records_by_stay.get(sid, []), schema)
@@ -119,7 +119,7 @@ class TestPlantedSignal:
         generate(SynthConfig(n_patients=2000, hours_range=(26, 40), seed=13, signal_strength=0.0),
                  tmp_path / "d")
         schema = canonical_schema()
-        dataset = load_dataset(tmp_path / "d", schema)
+        dataset = load_dataset(tmp_path / "d")
         feats, labels = [], []
         for sid, m in sorted(dataset.metas.items()):
             if m.hospital_discharge_status == DischargeStatus.MISSING:
