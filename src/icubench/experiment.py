@@ -32,6 +32,7 @@ from .preprocessing import build_stay_grid, build_vocabs, encode_categoricals, o
 from .schema import (
     CATEGORICAL_VARIABLES,
     DischargeStatus,
+    HourlyGrid,
     Task,
     TaskInstance,
     apply_vocabs,
@@ -379,8 +380,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
 
     base = cohort_mod.select_base_cohort(list(dataset.metas.values()), dataset.record_counts)
     grids = {
-        stay_id: build_stay_grid(dataset.metas[stay_id], dataset.records_by_stay.get(stay_id, []), schema,
-                                 cfg.max_hours)
+        stay_id: build_stay_grid(dataset.metas[stay_id], dataset.table.rows(stay_id), schema, cfg.max_hours)
         for stay_id in base.included
     }
 
@@ -409,14 +409,9 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         test_patients = {dataset.metas[sid].patient_id for sid in test_stays}
         _check(not (train_patients & test_patients), f"fold {fold}: train and test share patients")
 
-        vocabs = build_vocabs(
-            (dataset.metas[sid] for sid in sorted(train_stays)),
-            (rec for sid in sorted(train_stays) for rec in dataset.records_by_stay.get(sid, [])),
-            tag=f"fold{fold}/train",
-        )
+        vocabs = build_vocabs(dataset.table, train_stays)
         _check(vocabs.source_stays <= train_stays, f"fold {fold}: vocabulary built from non-train stays")
-        fold_schema = apply_vocabs(schema, vocabs.values)
-        encoded = {sid: encode_categoricals(grids[sid], fold_schema) for sid in instance_stays}
+        encoded = {sid: encode_categoricals(grids[sid], vocabs) for sid in instance_stays}
 
         train_pos = [i for i, inst in enumerate(instances) if inst.stay_id in train_stays]
         test_pos = [i for i, inst in enumerate(instances) if inst.stay_id in test_stays]
@@ -443,9 +438,9 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         if cfg.zscore and cfg.use_numeric:
             zstats = _zscore_stats(train_list, grids)
 
-        train_groups = _group_instances_direct(train_list, encoded, cfg, zstats)
+        train_groups = _group_instances_direct(train_list, grids, encoded, cfg, zstats)
         test_list = [instances[p] for p in test_pos]
-        test_groups = _group_instances_direct(test_list, encoded, cfg, zstats)
+        test_groups = _group_instances_direct(test_list, grids, encoded, cfg, zstats)
 
         vocab_sizes = {name: len(vocabs.values[name]) for name in CATEGORICAL_VARIABLES} if cfg.use_categorical else None
         model = build_model(
@@ -487,7 +482,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
             save_checkpoint(
                 out_dir / f"model_fold{fold}.ckpt",
                 model.params,
-                schema_hash(fold_schema),
+                schema_hash(apply_vocabs(schema, vocabs.values)),
                 {"kind": model.kind, "task": cfg.task, "fold": fold},
             )
 
@@ -522,7 +517,8 @@ def _zscore_stats(train_instances, grids):
 
 def _group_instances_direct(
     instance_list: list[TaskInstance],
-    grids: Mapping[int, object],
+    grids: Mapping[int, HourlyGrid],
+    encoded: Mapping[int, np.ndarray],
     cfg: ExperimentConfig,
     zstats=None,
 ) -> list[InstanceGroup]:
@@ -539,7 +535,7 @@ def _group_instances_direct(
             if zstats is not None:
                 num = (num - zstats[0]) / zstats[1]
         if cfg.use_categorical:
-            cat = np.stack([grids[instance_list[i].stay_id].categorical[instance_list[i].start:instance_list[i].end]
+            cat = np.stack([encoded[instance_list[i].stay_id][instance_list[i].start:instance_list[i].end]
                             for i in members])
         labels = np.stack([np.asarray(instance_list[i].label, dtype=np.float64) for i in members])
         groups.append(InstanceGroup(indices=np.array(members, dtype=np.int64), num=num, cat=cat, labels=labels))

@@ -11,15 +11,14 @@ these columns, in any order (other columns are ignored):
                        nursingchartcelltypevallabel, nursingchartvalue
     diagnosis.csv      patientunitstayid, icd9code
 
-An empty file or a missing column is a SchemaError.  Long tables (lab,
-nurseCharting) are streamed row by row by load_records, so its peak memory
-does not depend on file length; load_dataset groups the stream per stay and
-so holds every kept row.  Blank lines are skipped.  Rows with missing or
-extra cells (an unquoted comma inside a value, for instance) are counted as
-malformed and skipped; a file that is not UTF-8, or that the CSV parser
-cannot read (an unterminated quote running past the field size limit, for
-instance), is a data error.  Measurement values are kept verbatim as
-strings; parsing is the binning step's job.
+An empty file or a missing column is a SchemaError.  load_records streams
+the long tables (lab, nurseCharting) row by row; load_dataset parses each
+kept row once into one columnar StayTable, 29 bytes a row.  Blank lines
+are skipped.  Rows with missing or extra cells (an unquoted comma inside a
+value, for instance) are counted as malformed and skipped; a file that is
+not UTF-8 or that the CSV parser cannot read (an unterminated quote running
+past the field size limit, for instance), and a lab or nurseCharting record
+over several lines, are data errors.
 
 Where the source data offers the same variable under several labels, the
 default alias map below documents the choice: vitals, GCS components,
@@ -32,20 +31,28 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import DataError, SchemaError
 from .schema import (
     CATEGORICAL_VARIABLES,
+    N_NUMERIC,
     NUMERICAL_VARIABLES,
     UNKNOWN,
+    VARIABLE_INDEX,
     DischargeStatus,
     StayMeta,
-    StayRecordRaw,
+    StayTable,
     parse_age,
+    parse_value,
 )
 
 PATIENT = "patient"
@@ -145,8 +152,11 @@ def _table_rows(path, table: str, report: IngestionReport) -> Iterator[tuple[str
     the header is counted as malformed and skipped.  When a header names a
     column twice, its last occurrence is read.  Rows read (blank lines
     aside) and malformed rows are counted once, when the iteration ends.
+    In the lab and nurseCharting tables a record spanning several physical
+    lines (a quote left open, for instance) is a DataError.
     """
     columns = TABLE_COLUMNS[table]
+    one_line_records = table in (LAB, NURSECHARTING)
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -168,7 +178,12 @@ def _table_rows(path, table: str, report: IngestionReport) -> Iterator[tuple[str
                 def pick(row):
                     return tuple(row[index[name]] if name in index else "" for name in columns)
             width = len(header)
+            line = reader.line_num
             for row in reader:
+                if one_line_records and reader.line_num != line + 1:
+                    raise DataError(f"{path}: the record starting on line {line + 1} runs on to line "
+                                    f"{reader.line_num} (a quote left open?)")
+                line = reader.line_num
                 if not row:
                     continue
                 n += 1
@@ -214,15 +229,19 @@ def load_stay_meta(path, report: IngestionReport | None = None) -> list[StayMeta
 
     Rows with malformed numeric fields (ids, offsets) are skipped and counted
     in the report; unparseable categorical cells become the reserved
-    "unknown" value instead of failing the row.
+    "unknown" value instead of failing the row.  A second row for a stay id
+    is counted as malformed too; the first one is kept.
     """
     report = report if report is not None else IngestionReport()
     metas: list[StayMeta] = []
+    seen: set[int] = set()
     malformed = 0
     rows = _table_rows(path, PATIENT, report)
     for stay, patient, age, gender, ethnicity, diagnosis, status_text, offset_text, death_text in rows:
         try:
             stay_id = int(stay)
+            if not -2**63 <= stay_id < 2**63:   # stored as int64
+                raise ValueError(f"stay id {stay_id} out of range")
             offset = int(offset_text)
             if offset <= 0:
                 raise ValueError("nonpositive unit discharge offset")
@@ -230,6 +249,11 @@ def load_stay_meta(path, report: IngestionReport | None = None) -> list[StayMeta
             death_offset = None
             if status == DischargeStatus.EXPIRED and death_text.strip():
                 death_offset = int(death_text)
+            if stay_id in seen:
+                malformed += 1
+                report.messages.append(f"duplicate stay id {stay_id}; keeping first occurrence")
+                continue
+            seen.add(stay_id)
             metas.append(
                 StayMeta(
                     stay_id=stay_id,
@@ -251,12 +275,12 @@ def load_stay_meta(path, report: IngestionReport | None = None) -> list[StayMeta
     return metas
 
 
-def load_records(path, table: str, report: IngestionReport | None = None) -> Iterator[StayRecordRaw]:
+def load_records(path, table: str, report: IngestionReport | None = None) -> Iterator[tuple[int, str, int, str]]:
     """Stream the measurement rows of a lab or nurseCharting table.
 
+    Yields (stay id, schema variable, offset, value text) in file order.
     Labels are mapped through DEFAULT_VARIABLE_MAP; rows with a label it
-    lacks are filtered (and counted).  Values are yielded verbatim, in file
-    order.
+    lacks are filtered (and counted).  Values are yielded verbatim.
     """
     report = report if report is not None else IngestionReport()
     kept = unmapped = malformed = 0
@@ -269,11 +293,13 @@ def load_records(path, table: str, report: IngestionReport | None = None) -> Ite
             try:
                 stay_id = int(stay)
                 offset = int(offset_text)
+                if not (-2**63 <= stay_id < 2**63 and -2**63 <= offset < 2**63):   # stored as int64
+                    raise ValueError
             except ValueError:
                 malformed += 1
                 continue
             kept += 1
-            yield StayRecordRaw(stay_id=stay_id, variable=variable, offset_minutes=offset, value=value)
+            yield stay_id, variable, offset, value
     finally:
         _add(report.rows_kept, table, kept)
         _add(report.rows_unmapped_variable, table, unmapped)
@@ -306,35 +332,71 @@ def load_diagnoses(path, report: IngestionReport | None = None) -> dict[int, fro
     return {sid: frozenset(cs) for sid, cs in codes.items()}
 
 
+def _demographic_rows(metas: Iterable[StayMeta]) -> Iterator[tuple[int, str, int, str]]:
+    """The patient-table fields binned like measurements, as offset-0 rows."""
+    for meta in metas:
+        if not math.isnan(meta.age):
+            yield meta.stay_id, "Age", 0, repr(meta.age)
+        yield meta.stay_id, "Admission diagnosis", 0, meta.admission_diagnosis
+        yield meta.stay_id, "Ethnicity", 0, meta.ethnicity
+        yield meta.stay_id, "Gender", 0, meta.gender
+
+
+def stay_table(metas: Iterable[StayMeta],
+               rows: Iterable[tuple[int, str, int, str]]) -> tuple[StayTable, dict[int, int]]:
+    """Parse (stay id, variable, offset, value text) rows once into a StayTable.
+
+    The demographic fields of ``metas`` enter as offset-0 rows ahead of
+    ``rows``; one stable sort by (stay, offset) then keeps, within a stay
+    and offset, demographics first and the rest in the order given.  Also
+    returns how many of ``rows`` each stay has (demographics not counted).
+    """
+    ids = {UNKNOWN: 0}
+    columns = (array("q"), array("q"), array("b"), array("d"), array("i"))
+    stay, offset, variable, value, code = (column.append for column in columns)
+
+    def add(rows):
+        for stay_id, name, minutes, text in rows:
+            j = VARIABLE_INDEX[name]
+            stay(stay_id)
+            offset(minutes)
+            variable(j)
+            value(parse_value(text))
+            if j < N_NUMERIC:
+                code(-1)
+            else:
+                text = text.strip()
+                code(ids.setdefault(text, len(ids)) if text else -1)
+
+    add(_demographic_rows(metas))
+    n_demographic = len(columns[0])
+    add(rows)
+    stay_ids, stay_offsets, *rest = (np.frombuffer(column, dtype=column.typecode) for column in columns)
+    counted, counts = np.unique(stay_ids[n_demographic:], return_counts=True)
+    order = np.lexsort((stay_offsets, stay_ids))
+    table = StayTable(*(column[order] for column in (stay_ids, stay_offsets, *rest)), strings=tuple(ids))
+    return table, dict(zip(counted.tolist(), counts.tolist()))
+
+
 @dataclass
 class Dataset:
-    """Everything one data dump provides, grouped and ready for cohorting."""
+    """Everything one data dump provides, ready for cohorting and gridding."""
 
     metas: dict[int, StayMeta]
-    records_by_stay: dict[int, list[StayRecordRaw]]
+    table: StayTable
+    record_counts: dict[int, int]   # lab and nurseCharting rows kept per stay
     diagnoses: dict[int, frozenset[str]]
     report: IngestionReport
 
-    @property
-    def record_counts(self) -> dict[int, int]:
-        return {sid: len(recs) for sid, recs in self.records_by_stay.items()}
-
 
 def load_dataset(data_dir) -> Dataset:
-    """Load and group one dump directory (patient, lab, nurseCharting, diagnosis)."""
+    """Load one dump directory (patient, lab, nurseCharting, diagnosis)."""
     data_dir = Path(data_dir)
     report = IngestionReport()
     metas = load_stay_meta(data_dir / TABLE_FILES[PATIENT], report)
-    meta_map: dict[int, StayMeta] = {}
-    for m in metas:
-        if m.stay_id in meta_map:
-            report.messages.append(f"duplicate stay id {m.stay_id}; keeping first occurrence")
-            continue
-        meta_map[m.stay_id] = m
-    grouped: dict[int, list[StayRecordRaw]] = {}
-    for table in (LAB, NURSECHARTING):
-        for rec in load_records(data_dir / TABLE_FILES[table], table, report):
-            grouped.setdefault(rec.stay_id, []).append(rec)
+    rows = chain.from_iterable(load_records(data_dir / TABLE_FILES[t], t, report) for t in (LAB, NURSECHARTING))
+    table, record_counts = stay_table(metas, rows)
     diag_path = data_dir / TABLE_FILES[DIAGNOSIS]
     diagnoses = load_diagnoses(diag_path, report) if diag_path.exists() else {}
-    return Dataset(metas=meta_map, records_by_stay=grouped, diagnoses=diagnoses, report=report)
+    return Dataset(metas={m.stay_id: m for m in metas}, table=table, record_counts=record_counts,
+                   diagnoses=diagnoses, report=report)

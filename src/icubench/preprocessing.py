@@ -1,166 +1,105 @@
 """Hourly binning, imputation, vocabulary construction and oversampling.
 
-Binning rule per variable per hour bin: the last raw entry of the bin wins
-when it parses; when the last entry is unparseable but earlier ones parse,
-the bin takes the mean of the parseable entries; bins with no parseable
-entry stay unobserved.  Imputation carries the last observation forward and
-falls back to the variable's normal value (numeric) or the reserved
-"unknown" category before the first observation.
+Binning rule per variable per hour bin: the last row of the bin wins when
+it parses; when the last row is unparseable but earlier ones parse, the
+bin takes the mean of the parseable rows; bins with no parseable row stay
+unobserved.  A categorical bin takes the category of its last row with
+non-blank text; an explicit "unknown" counts as an observation.
+Imputation carries the last observation forward and falls back to the
+variable's normal value (numeric) or the reserved "unknown" category
+before the first observation.
 
-Categorical cells keep their raw strings through binning and imputation;
-mapping to vocabulary indices happens per cross-validation fold (vocabs are
-built from training folds only) via encode_categoricals.
+Categorical cells hold ids into the StayTable's interned strings through
+binning and imputation; mapping to vocabulary indices happens per
+cross-validation fold (vocabs are built from training folds only) via
+encode_categoricals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .schema import (
-    CATEGORICAL,
     CATEGORICAL_VARIABLES,
     DEFAULT_MAX_GRID_HOURS,
+    N_CATEGORICAL,
+    N_NUMERIC,
     NUMERICAL,
     UNKNOWN,
+    VARIABLES,
     HourlyGrid,
     StayMeta,
-    StayRecordRaw,
+    StayTable,
     TaskInstance,
     VariableSpec,
     grid_hours,
+    parse_value,
 )
 
-
-def _try_parse(value: str) -> float | None:
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        return None
-    return v if math.isfinite(v) else None
+_CATEGORICAL_COLUMNS = np.arange(N_CATEGORICAL)
 
 
-def bin_hourly(records: Sequence[StayRecordRaw], n_hours: int, schema: Sequence[VariableSpec]) -> HourlyGrid:
-    """Aggregate one stay's records onto the hourly grid (pre-imputation).
+def bin_hourly(rows: StayTable, n_hours: int) -> HourlyGrid:
+    """Aggregate one stay's rows onto the hourly grid (pre-imputation).
 
-    ``records`` must be sorted by offset (stable order within ties decides
-    the "last" entry of a bin).  Negative offsets and offsets beyond the
-    grid are dropped here.
+    ``rows`` must be in offset order (stable within ties, which decides the
+    last row of a bin).  Negative offsets and offsets beyond the grid are
+    dropped here.
     """
-    num_names = [s.name for s in schema if s.kind == NUMERICAL]
-    cat_names = [s.name for s in schema if s.kind == CATEGORICAL]
-    num_index = {n: j for j, n in enumerate(num_names)}
-    cat_index = {n: j for j, n in enumerate(cat_names)}
+    hour = rows.offset // 60
+    keep = (rows.offset >= 0) & (hour < n_hours) & ((rows.variable < N_NUMERIC) | (rows.code >= 0))
+    cell = hour[keep] * len(VARIABLES) + rows.variable[keep]
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    value = rows.value[keep][order]
+    last = np.flatnonzero(cell != np.append(cell[1:], -1))   # each cell's last row (cells are >= 0)
+    numeric = np.full((n_hours, len(VARIABLES)), np.nan)
+    numeric.flat[cell[last]] = value[last]
+    codes = np.full((n_hours, len(VARIABLES)), -1, dtype=np.int32)
+    codes.flat[cell[last]] = rows.code[keep][order][last]
 
-    numeric = np.full((n_hours, len(num_names)), np.nan)
-    mask = np.zeros((n_hours, len(num_names)), dtype=bool)
-    cat_labels = np.full((n_hours, len(cat_names)), "", dtype=object)
+    # A numerical bin whose last row does not parse: the mean of the rows that do, summed in row order.
+    first = np.append(0, last[:-1] + 1)
+    fallback = np.isnan(value[last]) & (cell[last] % len(VARIABLES) < N_NUMERIC)
+    for lo, hi in zip(first[fallback].tolist(), (last[fallback] + 1).tolist()):
+        parsed = value[lo:hi][~np.isnan(value[lo:hi])].tolist()
+        if parsed:
+            numeric.flat[cell[lo]] = sum(parsed) / len(parsed)
+    return HourlyGrid(stay_id=int(rows.stay[0]) if len(rows.stay) else -1,
+                      numeric=numeric[:, :N_NUMERIC].copy(), codes=codes[:, N_NUMERIC:].copy())
 
-    bins: dict[tuple[int, int], list[str]] = {}
-    stay_id = records[0].stay_id if records else -1
-    for rec in records:
-        if rec.offset_minutes < 0:
-            continue
-        hour = rec.offset_minutes // 60
-        if hour >= n_hours:
-            continue
-        j = num_index.get(rec.variable)
-        if j is not None:
-            bins.setdefault((hour, j), []).append(rec.value)
-            continue
-        k = cat_index.get(rec.variable)
-        if k is not None and rec.value.strip():
-            cat_labels[hour, k] = rec.value.strip()
 
-    for (hour, j), values in bins.items():
-        parsed = [_try_parse(v) for v in values]
-        last = parsed[-1]
-        if last is not None:
-            numeric[hour, j] = last
-            mask[hour, j] = True
-        else:
-            earlier = [p for p in parsed if p is not None]
-            if not earlier:
-                continue
-            numeric[hour, j] = sum(earlier) / len(earlier)
-            mask[hour, j] = True
-
-    return HourlyGrid(stay_id=stay_id, numeric=numeric, cat_labels=cat_labels, observed_mask=mask)
+def _carry_forward(values: np.ndarray, observed: np.ndarray, fallback) -> np.ndarray:
+    """Each cell takes its column's latest observed value at or above it, else ``fallback``."""
+    latest = np.where(observed, np.arange(len(values))[:, None], -1)
+    np.maximum.accumulate(latest, axis=0, out=latest)
+    return np.where(latest >= 0, np.take_along_axis(values, np.maximum(latest, 0), axis=0), fallback)
 
 
 def impute(grid: HourlyGrid, schema: Sequence[VariableSpec]) -> HourlyGrid:
-    """Fill every cell: carry forward, then normal value / "unknown".
-
-    The observed mask is preserved unchanged.
-    """
-    num_specs = [s for s in schema if s.kind == NUMERICAL]
-    numeric = grid.numeric.copy()
-    cat_labels = grid.cat_labels.copy()
-    n = grid.n_hours
-
-    for j, spec in enumerate(num_specs):
-        col = numeric[:, j]
-        last = np.nan
-        for h in range(n):
-            if math.isnan(col[h]):
-                col[h] = last
-            else:
-                last = col[h]
-        np.copyto(col, spec.normal_value, where=np.isnan(col))
-
-    for k in range(cat_labels.shape[1]):
-        col = cat_labels[:, k]
-        last = ""
-        for h in range(n):
-            if col[h] == "":
-                col[h] = last
-            else:
-                last = col[h]
-        col[col == ""] = UNKNOWN
-
-    return HourlyGrid(
-        stay_id=grid.stay_id,
-        numeric=numeric,
-        cat_labels=cat_labels,
-        observed_mask=grid.observed_mask,
-        categorical=grid.categorical,
+    """Fill every cell: carry forward, then normal value / "unknown" (id 0)."""
+    normals = np.array([s.normal_value for s in schema if s.kind == NUMERICAL])
+    return replace(
+        grid,
+        numeric=_carry_forward(grid.numeric, ~np.isnan(grid.numeric), normals),
+        codes=_carry_forward(grid.codes, grid.codes >= 0, 0),
     )
 
 
-def meta_records(meta: StayMeta) -> list[StayRecordRaw]:
-    """Materialize the patient-table fields as offset-0 pseudo records."""
-    recs = []
-    if not math.isnan(meta.age):
-        recs.append(StayRecordRaw(meta.stay_id, "Age", 0, repr(meta.age)))
-    for name, value in (
-        ("Admission diagnosis", meta.admission_diagnosis),
-        ("Ethnicity", meta.ethnicity),
-        ("Gender", meta.gender),
-    ):
-        recs.append(StayRecordRaw(meta.stay_id, name, 0, value))
-    return recs
-
-
-def build_stay_grid(
-    meta: StayMeta,
-    records: Sequence[StayRecordRaw],
-    schema: Sequence[VariableSpec],
-    max_hours: int = DEFAULT_MAX_GRID_HOURS,
-) -> HourlyGrid:
-    """Bin and impute one stay, injecting the demographic pseudo records."""
-    merged = meta_records(meta) + list(records)
-    merged.sort(key=lambda r: r.offset_minutes)  # stable: ties keep input order
-    n_hours = grid_hours(meta.unit_discharge_offset_minutes, max_hours)
-    return impute(bin_hourly(merged, n_hours, schema), schema)
+def build_stay_grid(meta: StayMeta, rows: StayTable, schema: Sequence[VariableSpec],
+                    max_hours: int = DEFAULT_MAX_GRID_HOURS) -> HourlyGrid:
+    """Bin and impute one stay's rows, its demographic rows included."""
+    return impute(bin_hourly(rows, grid_hours(meta.unit_discharge_offset_minutes, max_hours)), schema)
 
 
 def _vocab_sort_key(value: str):
-    parsed = _try_parse(value)
-    return (0, parsed, "") if parsed is not None else (1, 0.0, value)
+    parsed = parse_value(value)
+    return (0, parsed, "") if not math.isnan(parsed) else (1, 0.0, value)
 
 
 @dataclass(frozen=True)
@@ -169,59 +108,34 @@ class Vocabs:
 
     values: dict[str, tuple[str, ...]]
     source_stays: frozenset[int]
-    tag: str = "train"
+    remap: np.ndarray   # [k, string id of the StayTable] -> index in the k-th vocabulary, 0 when unseen
 
 
-def build_vocabs(
-    metas: Iterable[StayMeta],
-    records: Iterable[StayRecordRaw],
-    tag: str = "train",
-) -> Vocabs:
-    """Collect distinct observed categorical values (training folds only).
+def build_vocabs(table: StayTable, stays: Iterable[int]) -> Vocabs:
+    """Collect the distinct categorical values of the given stays' rows (training folds only).
 
-    Each vocabulary is the sorted distinct observed values with "unknown"
-    prepended at index 0; values unseen here map to index 0 at encode time.
+    Rows at any offset count, the demographic rows included.  Each
+    vocabulary is the sorted distinct values with "unknown" prepended at
+    index 0; values unseen here map to index 0 at encode time.
     """
-    observed: dict[str, set[str]] = {name: set() for name in CATEGORICAL_VARIABLES}
-    stays: set[int] = set()
-    for meta in metas:
-        stays.add(meta.stay_id)
-        for name, value in (
-            ("Admission diagnosis", meta.admission_diagnosis),
-            ("Ethnicity", meta.ethnicity),
-            ("Gender", meta.gender),
-        ):
-            if value and value != UNKNOWN:
-                observed[name].add(value)
-    for rec in records:
-        if rec.variable in observed:
-            stays.add(rec.stay_id)
-            value = rec.value.strip()
-            if value and value != UNKNOWN:
-                observed[rec.variable].add(value)
-    values = {
-        name: (UNKNOWN, *sorted(seen, key=_vocab_sort_key)) for name, seen in observed.items()
-    }
-    return Vocabs(values=values, source_stays=frozenset(stays), tag=tag)
+    picked = np.isin(table.stay, np.fromiter(stays, dtype=np.int64))
+    seen = picked & (table.code > 0)
+    n_strings = len(table.strings)
+    pairs = np.unique((table.variable[seen] - N_NUMERIC).astype(np.int64) * n_strings + table.code[seen])
+    variable, code = np.divmod(pairs, n_strings)
+    values = {}
+    remap = np.zeros((N_CATEGORICAL, n_strings), dtype=np.int64)
+    for k, name in enumerate(CATEGORICAL_VARIABLES):
+        ids = sorted(code[variable == k].tolist(), key=lambda i: _vocab_sort_key(table.strings[i]))
+        remap[k, ids] = np.arange(1, len(ids) + 1)
+        values[name] = (UNKNOWN, *(table.strings[i] for i in ids))
+    source = frozenset(np.unique(table.stay[picked]).tolist())
+    return Vocabs(values=values, source_stays=source, remap=remap)
 
 
-def encode_categoricals(grid: HourlyGrid, schema: Sequence[VariableSpec]) -> HourlyGrid:
-    """Map the grid's raw category strings to vocab indices (unseen -> 0)."""
-    cat_specs = [s for s in schema if s.kind == CATEGORICAL]
-    if any(s.vocab is None for s in cat_specs):
-        raise ConfigError("schema has no vocabularies attached; call build_vocabs first")
-    indices = np.zeros(grid.cat_labels.shape, dtype=np.int64)
-    for k, spec in enumerate(cat_specs):
-        lookup = {v: i for i, v in enumerate(spec.vocab)}
-        col = grid.cat_labels[:, k]
-        indices[:, k] = [lookup.get(v, 0) for v in col]
-    return HourlyGrid(
-        stay_id=grid.stay_id,
-        numeric=grid.numeric,
-        cat_labels=grid.cat_labels,
-        observed_mask=grid.observed_mask,
-        categorical=indices,
-    )
+def encode_categoricals(grid: HourlyGrid, vocabs: Vocabs) -> np.ndarray:
+    """The grid's category ids as the fold's vocab indices (unseen -> 0), int64 [n_hours x 7]."""
+    return vocabs.remap[_CATEGORICAL_COLUMNS, grid.codes]
 
 
 def oversample(

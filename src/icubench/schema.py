@@ -1,4 +1,4 @@
-"""Canonical 20-variable schema and the shared record/grid/instance types.
+"""Canonical 20-variable schema and the shared table/grid/instance types.
 
 The benchmark uses a fixed set of 20 clinical variables: 13 numerical
 channels (vitals, labs, anthropometrics, age) followed by 7 categorical
@@ -53,6 +53,10 @@ CATEGORICAL_VARIABLES = (
 
 N_NUMERIC = len(NUMERICAL_VARIABLES)
 N_CATEGORICAL = len(CATEGORICAL_VARIABLES)
+
+#: All 20 variables; a variable's position here is its index in StayTable.variable.
+VARIABLES = NUMERICAL_VARIABLES + CATEGORICAL_VARIABLES
+VARIABLE_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
 # Default imputation targets in native clinical units.  Overridable through a
 # JSON file whose keys are the variable names above (see read_normal_values).
@@ -181,19 +185,42 @@ def parse_age(text: str) -> float:
         return math.nan
 
 
+def parse_value(text: str) -> float:
+    """A measurement's number, or NaN when the text is not a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        return math.nan
+    return value if math.isfinite(value) else math.nan
+
+
 def grid_hours(unit_discharge_offset_minutes: int, max_hours: int = DEFAULT_MAX_GRID_HOURS) -> int:
     """Number of hourly rows for a stay: ceil(offset/60), clipped at max_hours."""
     return min(-(-int(unit_discharge_offset_minutes) // 60), int(max_hours))
 
 
-@dataclass(frozen=True)
-class StayRecordRaw:
-    """One raw measurement row; value kept verbatim as a string."""
+@dataclass(frozen=True, eq=False)
+class StayTable:
+    """Measurement rows as columns, sorted stably by (stay, offset).
 
-    stay_id: int
-    variable: str
-    offset_minutes: int
-    value: str
+    ``variable`` is the row's index into VARIABLES and ``value`` its parsed
+    number (parse_value).  ``code`` interns a categorical row's stripped
+    text as an index into ``strings``, whose entry 0 is UNKNOWN; it is -1
+    for a numerical row and for blank text.
+    """
+
+    stay: np.ndarray       # int64
+    offset: np.ndarray     # int64 minutes since unit admission
+    variable: np.ndarray   # int8
+    value: np.ndarray      # float64
+    code: np.ndarray       # int32
+    strings: tuple[str, ...]
+
+    def rows(self, stay_id: int) -> StayTable:
+        """One stay's rows (views into these columns), in offset order."""
+        lo, hi = np.searchsorted(self.stay, stay_id), np.searchsorted(self.stay, stay_id, side="right")
+        return StayTable(self.stay[lo:hi], self.offset[lo:hi], self.variable[lo:hi], self.value[lo:hi],
+                         self.code[lo:hi], self.strings)
 
 
 @dataclass(frozen=True)
@@ -227,17 +254,14 @@ class HourlyGrid:
     """Per-stay hourly matrix: one row per hour since unit admission.
 
     ``numeric`` is float64 [n_hours x 13] (NaN = unobserved before
-    imputation), ``cat_labels`` holds raw category strings ("" = unobserved
-    before imputation), and ``observed_mask`` covers the numeric channels.
-    ``categorical`` (vocab indices) is attached by
-    preprocessing.encode_categoricals once a vocabulary exists.
+    imputation).  ``codes`` is int32 [n_hours x 7] of indices into the
+    StayTable's strings (-1 = unobserved before imputation);
+    preprocessing.encode_categoricals maps them to a fold's vocabularies.
     """
 
     stay_id: int
     numeric: np.ndarray
-    cat_labels: np.ndarray
-    observed_mask: np.ndarray
-    categorical: Optional[np.ndarray] = None
+    codes: np.ndarray
 
     @property
     def n_hours(self) -> int:

@@ -29,7 +29,7 @@ from icubench.evaluation import (
     t_test,
 )
 from icubench.experiment import ExperimentConfig, report_json, run_experiment
-from icubench.ingestion import load_dataset
+from icubench.ingestion import load_dataset, stay_table
 from icubench.neural import bce_loss, build_model, grad_check
 from icubench.preprocessing import bin_hourly, build_stay_grid, build_vocabs, encode_categoricals
 from icubench.schema import (
@@ -38,7 +38,6 @@ from icubench.schema import (
     DischargeStatus,
     StayMeta,
     Task,
-    apply_vocabs,
     canonical_schema,
 )
 from icubench.synth import SynthConfig, generate
@@ -139,25 +138,22 @@ def test_criterion_5_preprocessing_completeness(tmp_path):
     generate(SynthConfig(n_patients=1000, hours_range=(5, 30), missingness=0.30, seed=19), data)
     dataset = load_dataset(data)
     base = select_base_cohort(list(dataset.metas.values()), dataset.record_counts)
-    vocabs = build_vocabs(dataset.metas.values(),
-                          (r for recs in dataset.records_by_stay.values() for r in recs))
-    full_schema = apply_vocabs(SCHEMA, vocabs.values)
+    vocabs = build_vocabs(dataset.table, dataset.metas)
     complete = True
     for sid in base.included:
-        grid = build_stay_grid(dataset.metas[sid], dataset.records_by_stay.get(sid, []), SCHEMA)
-        encoded = encode_categoricals(grid, full_schema)
+        grid = build_stay_grid(dataset.metas[sid], dataset.table.rows(sid), SCHEMA)
+        encoded = encode_categoricals(grid, vocabs)
         complete &= bool(np.all(np.isfinite(grid.numeric)))
-        complete &= not np.any(grid.cat_labels == "")
-        for k, spec in enumerate(s for s in full_schema if s.kind == "categorical"):
-            complete &= bool(np.all((encoded.categorical[:, k] >= 0) & (encoded.categorical[:, k] < spec.vocab_size)))
+        complete &= bool(np.all(grid.codes >= 0))
+        for k, name in enumerate(CATEGORICAL_VARIABLES):
+            vocab_size = len(vocabs.values[name])
+            complete &= bool(np.all((encoded[:, k] >= 0) & (encoded[:, k] < vocab_size)))
 
     rng = np.random.default_rng(55)
     num_index = {n: i for i, n in enumerate(NUMERICAL_VARIABLES)}
     cat_index = {n: i for i, n in enumerate(CATEGORICAL_VARIABLES)}
     variables = ["Heart rate", "pH", "Glasgow Coma Score Total"]
     bin_ok = True
-    from icubench.schema import StayRecordRaw
-
     for _ in range(10_000):
         n_hours = int(rng.integers(1, 4))
         triples = []
@@ -168,13 +164,14 @@ def test_criterion_5_preprocessing_completeness(tmp_path):
                 if var != "Glasgow Coma Score Total" else str(rng.integers(3, 16))
             triples.append((var, offset, value))
         triples.sort(key=lambda t: t[1])
-        grid = bin_hourly([StayRecordRaw(1, v, o, val) for v, o, val in triples], n_hours, SCHEMA)
+        table, _ = stay_table([], [(1, v, o, val) for v, o, val in triples])
+        grid = bin_hourly(table, n_hours)
         ref_num, ref_cat = ref_bin(triples, n_hours, set(NUMERICAL_VARIABLES), set(CATEGORICAL_VARIABLES))
         for (hour, name), value in ref_num.items():
             bin_ok &= abs(grid.numeric[hour, num_index[name]] - value) < 1e-12
-        bin_ok &= int(grid.observed_mask.sum()) == len(ref_num)
+        bin_ok &= int((~np.isnan(grid.numeric)).sum()) == len(ref_num)   # the observed mask
         for (hour, name), value in ref_cat.items():
-            bin_ok &= grid.cat_labels[hour, cat_index[name]] == value
+            bin_ok &= table.strings[grid.codes[hour, cat_index[name]]] == value
     check(5, "imputation completeness on 1,000 stays and 10,000-set binning oracle",
           complete and bin_ok, f"({len(base.included)} gridded stays)")
 
@@ -185,14 +182,14 @@ def test_criterion_6_schedule_law():
         meta = StayMeta(stay_id=1, patient_id=1, age=50.0, gender="Female", ethnicity="Other",
                         admission_diagnosis="Sepsis", hospital_discharge_status=DischargeStatus.ALIVE,
                         unit_discharge_offset_minutes=hours * 60)
-        grid = build_stay_grid(meta, [], SCHEMA)
+        grid = build_stay_grid(meta, stay_table([meta], [])[0], SCHEMA)
         for inst in build_los_instances({1: grid}, {1: meta}):
             law_ok &= inst.end - inst.start == 12 and (inst.end - 12) % 6 == 0 and inst.end < hours
 
     meta30 = StayMeta(stay_id=2, patient_id=2, age=50.0, gender="Female", ethnicity="Other",
                       admission_diagnosis="Sepsis", hospital_discharge_status=DischargeStatus.ALIVE,
                       unit_discharge_offset_minutes=30 * 60)
-    insts = build_los_instances({2: build_stay_grid(meta30, [], SCHEMA)}, {2: meta30})
+    insts = build_los_instances({2: build_stay_grid(meta30, stay_table([meta30], [])[0], SCHEMA)}, {2: meta30})
     points = [i.end for i in insts]
     labels = [i.label for i in insts]
     example_ok = points == [12, 18, 24] and np.allclose(labels, [0.75, 0.50, 0.25])
@@ -270,7 +267,7 @@ def test_criterion_10_real_data_reproduction():
     expired = sum(1 for m in included.values() if m.hospital_discharge_status == DischargeStatus.EXPIRED)
     rate = expired / len(included)
 
-    grids = {sid: build_stay_grid(dataset.metas[sid], dataset.records_by_stay.get(sid, []), SCHEMA)
+    grids = {sid: build_stay_grid(dataset.metas[sid], dataset.table.rows(sid), SCHEMA)
              for sid in base.included}
     from icubench.cohort import build_decomp_instances, build_mortality_instances, build_phenotype_instances
     from icubench.phenotypes import PhenotypeCatalog

@@ -1,5 +1,8 @@
 """Property test: bin_hourly equals the reference binning on generated record lists.
 
+The records reach bin_hourly through stay_table, the row-to-column step
+load_dataset uses, so parsing and interning are under test too.
+
 The generated lists lean on the edges a seeded random draw rarely hits:
 several records at one offset (within and across variables), values that
 do not parse or parse to a non-finite number, whitespace-only categorical
@@ -11,10 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import ref_bin
+from icubench.ingestion import stay_table
 from icubench.preprocessing import bin_hourly
-from icubench.schema import CATEGORICAL_VARIABLES, NUMERICAL_VARIABLES, StayRecordRaw, canonical_schema
-
-SCHEMA = canonical_schema()
+from icubench.schema import CATEGORICAL_VARIABLES, NUMERICAL_VARIABLES, VARIABLE_INDEX
 NUM_INDEX = {name: i for i, name in enumerate(NUMERICAL_VARIABLES)}
 CAT_INDEX = {name: i for i, name in enumerate(CATEGORICAL_VARIABLES)}
 
@@ -49,16 +51,20 @@ def record_lists(draw):
 @given(record_lists())
 def test_bin_hourly_equals_reference(case):
     n_hours, triples = case
-    grid = bin_hourly([StayRecordRaw(1, v, o, val) for v, o, val in triples], n_hours, SCHEMA)
+    # load_records drops labels outside the schema before rows reach stay_table
+    table, _ = stay_table([], [(1, v, o, val) for v, o, val in triples if v in VARIABLE_INDEX])
+    grid = bin_hourly(table, n_hours)
     ref_num, ref_cat = ref_bin(triples, n_hours, set(NUMERICAL_VARIABLES), set(CATEGORICAL_VARIABLES))
 
     expected = np.full((n_hours, len(NUMERICAL_VARIABLES)), np.nan)
     for (hour, name), value in ref_num.items():
         expected[hour, NUM_INDEX[name]] = value
     assert np.array_equal(grid.numeric, expected, equal_nan=True)
-    assert np.array_equal(grid.observed_mask, ~np.isnan(expected))
+    assert np.array_equal(~np.isnan(grid.numeric), ~np.isnan(expected))   # the observed mask
 
     expected_cat = np.full((n_hours, len(CATEGORICAL_VARIABLES)), "", dtype=object)
     for (hour, name), value in ref_cat.items():
         expected_cat[hour, CAT_INDEX[name]] = value
-    assert np.array_equal(grid.cat_labels, expected_cat)
+    cat_labels = np.array([[table.strings[c] if c >= 0 else "" for c in row] for row in grid.codes.tolist()],
+                          dtype=object).reshape(expected_cat.shape)
+    assert np.array_equal(cat_labels, expected_cat)

@@ -67,6 +67,16 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "lab.csv: unreadable CSV after line" in err and "field larger than field limit" in err
 
+    def test_record_over_several_lines_is_data_error(self, tiny_dump, capsys):
+        # an open quote with little after it used to swallow the rest of the file into one cell
+        lab = tiny_dump / "lab.csv"
+        lines = lab.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.insert(len(lines) - 50, '100001,95,pH,"7.31\n')
+        lab.write_text("".join(lines), encoding="utf-8")
+        assert main(["cohort", "--data-dir", str(tiny_dump)]) == 3
+        err = capsys.readouterr().err
+        assert f"lab.csv: the record starting on line {len(lines) - 50} runs on to line {len(lines)}" in err
+
 
 class TestRunCommand:
     def test_run_and_compare_roundtrip(self, small_dump, tmp_path, capsys):

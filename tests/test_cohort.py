@@ -12,6 +12,7 @@ from icubench.cohort import (
     select_base_cohort,
 )
 from icubench.phenotypes import PhenotypeCatalog
+from icubench.ingestion import stay_table
 from icubench.preprocessing import build_stay_grid
 from icubench.schema import DischargeStatus, StayMeta, Task, canonical_schema
 
@@ -33,7 +34,7 @@ def meta(stay_id, *, age=40.0, hours=72, status=DischargeStatus.ALIVE, death_hou
 
 
 def grid_for(m):
-    return build_stay_grid(m, [], SCHEMA)
+    return build_stay_grid(m, stay_table([m], [])[0], SCHEMA)
 
 
 class TestBaseCohort:

@@ -6,13 +6,16 @@ import pytest
 from icubench.errors import SchemaError
 from icubench.ingestion import (
     DEFAULT_VARIABLE_MAP,
+    TABLE_COLUMNS,
     TABLE_FILES,
     IngestionReport,
+    load_dataset,
     load_diagnoses,
     load_records,
     load_stay_meta,
     parse_patient_id,
 )
+from icubench.preprocessing import build_stay_grid
 from icubench.schema import CATEGORICAL_VARIABLES, NUMERICAL_VARIABLES, DischargeStatus, canonical_schema
 
 PATIENT_HEADER = ("patientunitstayid,uniquepid,age,gender,ethnicity,apacheadmissiondx,"
@@ -83,8 +86,7 @@ class TestRecords:
             "8,10,glucose,140",
         ])
         report = IngestionReport()
-        records = list(load_records(path, "lab", report))
-        assert [(r.stay_id, r.variable, r.offset_minutes, r.value) for r in records] == [
+        assert list(load_records(path, "lab", report)) == [
             (7, "pH", 95, "7.31"),
             (8, "Glucose", 10, "140"),
         ]
@@ -126,6 +128,50 @@ class TestRecords:
         tracemalloc.stop()
         assert count == 250_000
         assert peak < 2_000_000  # far below file size: rows never accumulate
+
+
+def write_dump(directory: Path, patient_rows, lab_rows=(), nursecharting_rows=()) -> Path:
+    directory.mkdir()
+    for table, rows in (("patient", patient_rows), ("lab", lab_rows), ("nursecharting", nursecharting_rows)):
+        write(directory / TABLE_FILES[table], [",".join(TABLE_COLUMNS[table]), *rows])
+    return directory
+
+
+class TestDataset:
+    def test_duplicate_stay_id_is_malformed_not_kept(self, tmp_path):
+        dump = write_dump(tmp_path / "d", [
+            "7,1001,50,Female,Caucasian,Sepsis,Alive,2880,",
+            "8,1002,45,Male,Hispanic,Trauma,Alive,1500,",
+            "7,1003,60,Male,Other,CHF,Alive,600,",
+        ])
+        dataset = load_dataset(dump)
+        assert dataset.report.rows_kept["patient"] == len(dataset.metas) == 2
+        assert dataset.report.rows_malformed["patient"] == 1
+        assert dataset.metas[7].patient_id == 1001
+        assert "duplicate stay id 7; keeping first occurrence" in dataset.report.messages
+
+    def test_tied_offsets_keep_demographics_then_lab_then_nursecharting(self, tmp_path):
+        dump = write_dump(
+            tmp_path / "d",
+            ["7,1001,50,Female,Caucasian,Sepsis,Alive,120,"],
+            lab_rows=["7,0,Age,51", "7,30,pH,7.1"],
+            nursecharting_rows=["7,0,Age,52", "7,30,pH,7.2", "7,30,Gender,Male"],
+        )
+        dataset = load_dataset(dump)
+        grid = build_stay_grid(dataset.metas[7], dataset.table.rows(7), canonical_schema())
+        numeric = dict(zip(NUMERICAL_VARIABLES, grid.numeric[0]))
+        assert numeric["Age"] == 52.0 and numeric["pH"] == 7.2
+        assert dataset.table.strings[grid.codes[0, CATEGORICAL_VARIABLES.index("Gender")]] == "Male"
+        assert dataset.record_counts == {7: 5}
+
+    def test_bounded_retained_memory(self, small_dump):
+        tracemalloc.start()
+        dataset = load_dataset(small_dump)
+        retained, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        kept = dataset.report.rows_kept["lab"] + dataset.report.rows_kept["nursecharting"]
+        assert kept > 50_000
+        assert retained / kept <= 40   # one StayTable row is 29 bytes
 
 
 class TestDiagnoses:
@@ -175,6 +221,16 @@ class TestReport:
         assert report.rows_malformed == {"patient": 1, "lab": 1, "diagnosis": 1}
         assert report.rows_read == {"patient": 1, "lab": 1, "diagnosis": 1}
         assert report.rows_kept == {}
+
+    def test_ids_and_offsets_outside_int64_are_malformed(self, tmp_path):
+        # the stay table stores both as int64
+        report = IngestionReport()
+        patient = write(tmp_path / "patient.csv", [PATIENT_HEADER, f"{2**63},1002,45,Male,Hispanic,Trauma,Alive,1500,"])
+        lab = write(tmp_path / "lab.csv", ["patientunitstayid,labresultoffset,labname,labresult",
+                                           f"{2**63},95,pH,7.31", f"7,{-2**63 - 1},pH,7.3", f"7,{2**63 - 1},pH,7.3"])
+        assert load_stay_meta(patient, report) == []
+        assert list(load_records(lab, "lab", report)) == [(7, "pH", 2**63 - 1, "7.3")]
+        assert report.rows_malformed == {"patient": 1, "lab": 2}
 
     def test_blank_lines_skipped_uncounted(self, tmp_path):
         report = IngestionReport()

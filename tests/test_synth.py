@@ -100,7 +100,7 @@ class TestPlantedSignal:
         dataset = load_dataset(dump_dir)
         pos, neg = [], []
         for sid, m in dataset.metas.items():
-            grid = build_stay_grid(m, dataset.records_by_stay.get(sid, []), schema)
+            grid = build_stay_grid(m, dataset.table.rows(sid), schema)
             target = pos if m.hospital_discharge_status == DischargeStatus.EXPIRED else neg
             target.append(grid.numeric[:, 0].mean())
         return np.mean(pos) - np.mean(neg)
@@ -124,7 +124,7 @@ class TestPlantedSignal:
         for sid, m in sorted(dataset.metas.items()):
             if m.hospital_discharge_status == DischargeStatus.MISSING:
                 continue
-            grid = build_stay_grid(m, dataset.records_by_stay.get(sid, []), schema)
+            grid = build_stay_grid(m, dataset.table.rows(sid), schema)
             feats.append(grid.numeric[:24])
             labels.append(1.0 if m.hospital_discharge_status == DischargeStatus.EXPIRED else 0.0)
         num = np.stack(feats)
