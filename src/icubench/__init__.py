@@ -1,7 +1,7 @@
 """Benchmarking engine for four ICU prediction tasks on eICU-shaped data."""
 
-from .schema import Task, canonical_schema, total_ohe_width
+from .schema import Task, normal_values
 
 __version__ = "0.1.0"
 
-__all__ = ["Task", "canonical_schema", "total_ohe_width", "__version__"]
+__all__ = ["Task", "normal_values", "__version__"]

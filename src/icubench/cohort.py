@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .phenotypes import PhenotypeCatalog
-from .schema import DischargeStatus, HourlyGrid, StayMeta, Task, TaskInstance
+from .schema import DischargeStatus, HourlyGrid, StayMeta, TaskInstance
 
 DERIVATION_HOURS = 12
 SLIDE_HOURS = 6
@@ -94,7 +94,7 @@ def build_mortality_instances(
         if grids[stay_id].n_hours < horizon_hours:
             continue  # grid truncated below the horizon by max_hours config
         label = 1.0 if meta.hospital_discharge_status == DischargeStatus.EXPIRED else 0.0
-        out.append(TaskInstance(stay_id=stay_id, start=0, end=horizon_hours, task=Task.MORTALITY, label=label))
+        out.append(TaskInstance(stay_id=stay_id, start=0, end=horizon_hours, label=label))
     return out
 
 
@@ -109,9 +109,7 @@ def build_los_instances(
         los_days = meta.unit_los_days
         for t in schedule_points(grids[stay_id].n_hours):
             remaining = max(los_days - t / 24.0, 0.0)
-            out.append(
-                TaskInstance(stay_id=stay_id, start=t - DERIVATION_HOURS, end=t, task=Task.LOS, label=remaining)
-            )
+            out.append(TaskInstance(stay_id=stay_id, start=t - DERIVATION_HOURS, end=t, label=remaining))
     return out
 
 
@@ -134,9 +132,7 @@ def build_decomp_instances(
             label = 0.0
             if death_hours is not None and t < death_hours <= t + 24:
                 label = 1.0
-            out.append(
-                TaskInstance(stay_id=stay_id, start=t - DERIVATION_HOURS, end=t, task=Task.DECOMPENSATION, label=label)
-            )
+            out.append(TaskInstance(stay_id=stay_id, start=t - DERIVATION_HOURS, end=t, label=label))
     return out
 
 
@@ -151,7 +147,5 @@ def build_phenotype_instances(
         mask = catalog.label_mask(diagnoses.get(stay_id, frozenset()))
         if not mask.any():
             continue
-        out.append(
-            TaskInstance(stay_id=stay_id, start=0, end=grids[stay_id].n_hours, task=Task.PHENOTYPING, label=mask)
-        )
+        out.append(TaskInstance(stay_id=stay_id, start=0, end=grids[stay_id].n_hours, label=mask))
     return out

@@ -35,8 +35,7 @@ from .schema import (
     HourlyGrid,
     Task,
     TaskInstance,
-    apply_vocabs,
-    canonical_schema,
+    normal_values,
     read_normal_values,
 )
 
@@ -370,8 +369,7 @@ def _fold_metrics(cfg: ExperimentConfig, scores: np.ndarray, labels: np.ndarray)
 def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     """Execute one (task, model, encoding, variables) experiment end to end."""
     started = time.perf_counter()
-    normals = read_normal_values(cfg.normal_values_file) if cfg.normal_values_file else None
-    schema = canonical_schema(normals)
+    normals = read_normal_values(cfg.normal_values_file) if cfg.normal_values_file else normal_values()
     data_dir = Path(cfg.data_dir)
     for table, filename in TABLE_FILES.items():
         if table != "diagnosis" and not (data_dir / filename).exists():
@@ -380,7 +378,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
 
     base = cohort_mod.select_base_cohort(list(dataset.metas.values()), dataset.record_counts)
     grids = {
-        stay_id: build_stay_grid(dataset.metas[stay_id], dataset.table.rows(stay_id), schema, cfg.max_hours)
+        stay_id: build_stay_grid(dataset.metas[stay_id], dataset.table.rows(stay_id), normals, cfg.max_hours)
         for stay_id in base.included
     }
 
@@ -415,12 +413,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
 
         train_pos = [i for i, inst in enumerate(instances) if inst.stay_id in train_stays]
         test_pos = [i for i, inst in enumerate(instances) if inst.stay_id in test_stays]
-        if not train_pos or not test_pos:
-            run_warnings.append(f"fold {fold}: empty train or test side; fold skipped")
-            fold_results.append({"fold": fold, "n_train": len(train_pos), "n_test": len(test_pos),
-                                 "metrics": {}, "warnings": ["fold skipped"]})
-            fold_scores.append((np.array([]), np.array([])))
-            continue
+        _check(bool(train_pos and test_pos), f"fold {fold}: empty train or test side")
 
         sample_rng = np.random.default_rng((cfg.seed, fold, 0x05))
         oversampled = False
@@ -482,11 +475,11 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
             save_checkpoint(
                 out_dir / f"model_fold{fold}.ckpt",
                 model.params,
-                schema_hash(apply_vocabs(schema, vocabs.values)),
+                schema_hash(normals, vocabs.values),
                 {"kind": model.kind, "task": cfg.task, "fold": fold},
             )
 
-    folded = evaluation.aggregate_metric_dicts([f["metrics"] for f in fold_results if f["metrics"]])
+    folded = evaluation.aggregate_metric_dicts([f["metrics"] for f in fold_results])
     run_warnings.extend(folded.warnings)
 
     report = EvalReport(

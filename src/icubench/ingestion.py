@@ -17,8 +17,8 @@ kept row once into one columnar StayTable, 29 bytes a row.  Blank lines
 are skipped.  Rows with missing or extra cells (an unquoted comma inside a
 value, for instance) are counted as malformed and skipped; a file that is
 not UTF-8 or that the CSV parser cannot read (an unterminated quote running
-past the field size limit, for instance), and a lab or nurseCharting record
-over several lines, are data errors.
+past the field size limit, for instance), and a record over several lines,
+are data errors.
 
 Where the source data offers the same variable under several labels, the
 default alias map below documents the choice: vitals, GCS components,
@@ -152,11 +152,10 @@ def _table_rows(path, table: str, report: IngestionReport) -> Iterator[tuple[str
     the header is counted as malformed and skipped.  When a header names a
     column twice, its last occurrence is read.  Rows read (blank lines
     aside) and malformed rows are counted once, when the iteration ends.
-    In the lab and nurseCharting tables a record spanning several physical
-    lines (a quote left open, for instance) is a DataError.
+    A record spanning several physical lines (a quote left open, for
+    instance) is a DataError.
     """
     columns = TABLE_COLUMNS[table]
-    one_line_records = table in (LAB, NURSECHARTING)
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -180,7 +179,7 @@ def _table_rows(path, table: str, report: IngestionReport) -> Iterator[tuple[str
             width = len(header)
             line = reader.line_num
             for row in reader:
-                if one_line_records and reader.line_num != line + 1:
+                if reader.line_num != line + 1:
                     raise DataError(f"{path}: the record starting on line {line + 1} runs on to line "
                                     f"{reader.line_num} (a quote left open?)")
                 line = reader.line_num

@@ -4,7 +4,7 @@ Layout (little-endian):
 
     magic        4 bytes  b"ICKP"
     version      uint16
-    schema_hash  32 bytes sha256 of the active schema + vocabularies
+    schema_hash  32 bytes sha256 of the normal values + vocabularies (schema_hash)
     meta_len     uint32, then meta_len bytes of UTF-8 JSON (kind, task, dims)
     n_params     uint32
     per parameter, in sorted name order:
@@ -29,20 +29,20 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import SchemaError
-from ..schema import VariableSpec
+from ..schema import CATEGORICAL_VARIABLES, NUMERICAL_VARIABLES
 
 MAGIC = b"ICKP"
 VERSION = 1
 
 
-def schema_hash(schema: Sequence[VariableSpec]) -> bytes:
+def schema_hash(normals: Sequence[float], vocabs: Mapping[str, Sequence[str]]) -> bytes:
+    """sha256 over each variable's name and kind, then its normal value or its vocabulary."""
     digest = hashlib.sha256()
-    for spec in schema:
-        digest.update(spec.name.encode("utf-8"))
-        digest.update(spec.kind.encode("utf-8"))
-        if spec.normal_value is not None:
-            digest.update(repr(spec.normal_value).encode("ascii"))
-        for v in spec.vocab or ():
+    for name, normal in zip(NUMERICAL_VARIABLES, normals, strict=True):
+        digest.update(f"{name}numerical{float(normal)!r}".encode("utf-8"))
+    for name in CATEGORICAL_VARIABLES:
+        digest.update(f"{name}categorical".encode("utf-8"))
+        for v in vocabs[name]:
             digest.update(b"\x00" + v.encode("utf-8"))
     return digest.digest()
 

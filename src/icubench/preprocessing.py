@@ -18,7 +18,7 @@ encode_categoricals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,14 +29,12 @@ from .schema import (
     DEFAULT_MAX_GRID_HOURS,
     N_CATEGORICAL,
     N_NUMERIC,
-    NUMERICAL,
     UNKNOWN,
     VARIABLES,
     HourlyGrid,
     StayMeta,
     StayTable,
     TaskInstance,
-    VariableSpec,
     grid_hours,
     parse_value,
 )
@@ -70,8 +68,7 @@ def bin_hourly(rows: StayTable, n_hours: int) -> HourlyGrid:
         parsed = value[lo:hi][~np.isnan(value[lo:hi])].tolist()
         if parsed:
             numeric.flat[cell[lo]] = sum(parsed) / len(parsed)
-    return HourlyGrid(stay_id=int(rows.stay[0]) if len(rows.stay) else -1,
-                      numeric=numeric[:, :N_NUMERIC].copy(), codes=codes[:, N_NUMERIC:].copy())
+    return HourlyGrid(numeric=numeric[:, :N_NUMERIC].copy(), codes=codes[:, N_NUMERIC:].copy())
 
 
 def _carry_forward(values: np.ndarray, observed: np.ndarray, fallback) -> np.ndarray:
@@ -81,20 +78,16 @@ def _carry_forward(values: np.ndarray, observed: np.ndarray, fallback) -> np.nda
     return np.where(latest >= 0, np.take_along_axis(values, np.maximum(latest, 0), axis=0), fallback)
 
 
-def impute(grid: HourlyGrid, schema: Sequence[VariableSpec]) -> HourlyGrid:
-    """Fill every cell: carry forward, then normal value / "unknown" (id 0)."""
-    normals = np.array([s.normal_value for s in schema if s.kind == NUMERICAL])
-    return replace(
-        grid,
-        numeric=_carry_forward(grid.numeric, ~np.isnan(grid.numeric), normals),
-        codes=_carry_forward(grid.codes, grid.codes >= 0, 0),
-    )
+def impute(grid: HourlyGrid, normals: np.ndarray) -> HourlyGrid:
+    """Fill every cell: carry forward, then ``normals`` (schema.normal_values) / "unknown" (id 0)."""
+    return HourlyGrid(numeric=_carry_forward(grid.numeric, ~np.isnan(grid.numeric), normals),
+                      codes=_carry_forward(grid.codes, grid.codes >= 0, 0))
 
 
-def build_stay_grid(meta: StayMeta, rows: StayTable, schema: Sequence[VariableSpec],
+def build_stay_grid(meta: StayMeta, rows: StayTable, normals: np.ndarray,
                     max_hours: int = DEFAULT_MAX_GRID_HOURS) -> HourlyGrid:
     """Bin and impute one stay's rows, its demographic rows included."""
-    return impute(bin_hourly(rows, grid_hours(meta.unit_discharge_offset_minutes, max_hours)), schema)
+    return impute(bin_hourly(rows, grid_hours(meta.unit_discharge_offset_minutes, max_hours)), normals)
 
 
 def _vocab_sort_key(value: str):

@@ -11,16 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import ConfigError
-
-NUMERICAL = "numerical"
-CATEGORICAL = "categorical"
 
 #: Reserved categorical value; always index 0 of every vocabulary.
 UNKNOWN = "unknown"
@@ -97,79 +94,39 @@ class DischargeStatus(str, Enum):
     MISSING = "missing"
 
 
-@dataclass(frozen=True)
-class VariableSpec:
-    """One schema entry: a numerical channel or a categorical vocabulary."""
+def normal_values(overrides: Mapping[str, object] | None = None) -> np.ndarray:
+    """The 13 imputation targets in NUMERICAL_VARIABLES order, float64.
 
-    name: str
-    kind: str
-    normal_value: Optional[float] = None
-    vocab: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        if self.kind not in (NUMERICAL, CATEGORICAL):
-            raise ConfigError(f"unknown variable kind {self.kind!r}")
-        if self.kind == NUMERICAL and not math.isfinite(self.normal_value or math.nan):
-            raise ConfigError(f"numerical variable {self.name!r} needs a finite normal value")
-        if self.vocab is not None and (not self.vocab or self.vocab[0] != UNKNOWN):
-            raise ConfigError(f"vocab of {self.name!r} must start with {UNKNOWN!r}")
-
-    @property
-    def vocab_size(self) -> int:
-        if self.vocab is None:
-            raise ConfigError(f"variable {self.name!r} has no vocabulary populated")
-        return len(self.vocab)
-
-
-def canonical_schema(normal_values: Mapping[str, float] | None = None) -> list[VariableSpec]:
-    """The fixed 20-spec schema: 13 numerical entries, then 7 categorical.
-
-    ``normal_values`` overrides individual imputation targets; unknown keys
-    are rejected so typos in config files fail loudly.
+    ``overrides`` replaces individual defaults.  A key that is not a
+    numerical variable, or a value that float() rejects or that is not
+    finite, is a ConfigError, so typos in config files fail loudly.
     """
     normals = dict(DEFAULT_NORMAL_VALUES)
-    if normal_values:
-        bad = set(normal_values) - set(NUMERICAL_VARIABLES)
-        if bad:
-            raise ConfigError(f"normal values given for unknown variables: {sorted(bad)}")
-        normals.update({k: float(v) for k, v in normal_values.items()})
-    specs = [VariableSpec(name, NUMERICAL, normal_value=normals[name]) for name in NUMERICAL_VARIABLES]
-    specs += [VariableSpec(name, CATEGORICAL) for name in CATEGORICAL_VARIABLES]
-    return specs
+    for name, value in (overrides or {}).items():
+        if name not in normals:
+            raise ConfigError(f"normal value given for unknown variable {name!r}")
+        try:
+            normals[name] = float(value)
+        except (TypeError, ValueError):
+            normals[name] = math.nan
+        if not math.isfinite(normals[name]):
+            raise ConfigError(f"normal value of {name!r} must be a finite number, got {value!r}")
+    return np.array([normals[name] for name in NUMERICAL_VARIABLES])
 
 
-def categorical_specs(schema: Sequence[VariableSpec]) -> list[VariableSpec]:
-    return [s for s in schema if s.kind == CATEGORICAL]
-
-
-def total_ohe_width(schema: Sequence[VariableSpec]) -> int:
-    """Sum of vocabulary sizes over the categorical variables (one-hot width)."""
-    cats = categorical_specs(schema)
-    if any(s.vocab is None for s in cats):
-        raise ConfigError("schema has unpopulated vocabularies; build them from training data first")
-    return sum(s.vocab_size for s in cats)
-
-
-def apply_vocabs(schema: Sequence[VariableSpec], vocabs: Mapping[str, Sequence[str]]) -> list[VariableSpec]:
-    """Return a new schema with the given vocabularies attached."""
-    out = []
-    for s in schema:
-        if s.kind == CATEGORICAL:
-            if s.name not in vocabs:
-                raise ConfigError(f"no vocabulary supplied for {s.name!r}")
-            out.append(replace(s, vocab=tuple(vocabs[s.name])))
-        else:
-            out.append(s)
-    return out
-
-
-def read_normal_values(path) -> dict[str, float]:
-    """Read a {variable name: normal value} JSON override table."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+def read_normal_values(path) -> np.ndarray:
+    """normal_values() with the overrides of a {variable name: value} JSON file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:   # ValueError covers JSON and UTF-8 decoding errors
+        raise ConfigError(f"cannot read normal values from {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object of variable name -> value")
-    return {str(k): float(v) for k, v in doc.items()}
+    try:
+        return normal_values(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def parse_age(text: str) -> float:
@@ -259,7 +216,6 @@ class HourlyGrid:
     preprocessing.encode_categoricals maps them to a fold's vocabularies.
     """
 
-    stay_id: int
     numeric: np.ndarray
     codes: np.ndarray
 
@@ -279,7 +235,6 @@ class TaskInstance:
     stay_id: int
     start: int
     end: int
-    task: Task
     label: object
 
     def __post_init__(self):

@@ -38,12 +38,12 @@ from icubench.schema import (
     DischargeStatus,
     StayMeta,
     Task,
-    canonical_schema,
+    normal_values,
 )
 from icubench.synth import SynthConfig, generate
 from test_evaluation import random_scored_instance
 
-SCHEMA = canonical_schema()
+NORMALS = normal_values()
 
 
 def check(criterion, description, condition, detail=""):
@@ -141,7 +141,7 @@ def test_criterion_5_preprocessing_completeness(tmp_path):
     vocabs = build_vocabs(dataset.table, dataset.metas)
     complete = True
     for sid in base.included:
-        grid = build_stay_grid(dataset.metas[sid], dataset.table.rows(sid), SCHEMA)
+        grid = build_stay_grid(dataset.metas[sid], dataset.table.rows(sid), NORMALS)
         encoded = encode_categoricals(grid, vocabs)
         complete &= bool(np.all(np.isfinite(grid.numeric)))
         complete &= bool(np.all(grid.codes >= 0))
@@ -182,14 +182,14 @@ def test_criterion_6_schedule_law():
         meta = StayMeta(stay_id=1, patient_id=1, age=50.0, gender="Female", ethnicity="Other",
                         admission_diagnosis="Sepsis", hospital_discharge_status=DischargeStatus.ALIVE,
                         unit_discharge_offset_minutes=hours * 60)
-        grid = build_stay_grid(meta, stay_table([meta], [])[0], SCHEMA)
+        grid = build_stay_grid(meta, stay_table([meta], [])[0], NORMALS)
         for inst in build_los_instances({1: grid}, {1: meta}):
             law_ok &= inst.end - inst.start == 12 and (inst.end - 12) % 6 == 0 and inst.end < hours
 
     meta30 = StayMeta(stay_id=2, patient_id=2, age=50.0, gender="Female", ethnicity="Other",
                       admission_diagnosis="Sepsis", hospital_discharge_status=DischargeStatus.ALIVE,
                       unit_discharge_offset_minutes=30 * 60)
-    insts = build_los_instances({2: build_stay_grid(meta30, stay_table([meta30], [])[0], SCHEMA)}, {2: meta30})
+    insts = build_los_instances({2: build_stay_grid(meta30, stay_table([meta30], [])[0], NORMALS)}, {2: meta30})
     points = [i.end for i in insts]
     labels = [i.label for i in insts]
     example_ok = points == [12, 18, 24] and np.allclose(labels, [0.75, 0.50, 0.25])
@@ -267,7 +267,7 @@ def test_criterion_10_real_data_reproduction():
     expired = sum(1 for m in included.values() if m.hospital_discharge_status == DischargeStatus.EXPIRED)
     rate = expired / len(included)
 
-    grids = {sid: build_stay_grid(dataset.metas[sid], dataset.table.rows(sid), SCHEMA)
+    grids = {sid: build_stay_grid(dataset.metas[sid], dataset.table.rows(sid), NORMALS)
              for sid in base.included}
     from icubench.cohort import build_decomp_instances, build_mortality_instances, build_phenotype_instances
     from icubench.phenotypes import PhenotypeCatalog

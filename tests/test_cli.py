@@ -77,6 +77,32 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"lab.csv: the record starting on line {len(lines) - 50} runs on to line {len(lines)}" in err
 
+    @pytest.mark.parametrize("filename, record", [
+        ("patient.csv", '100999,1999,"57,Male,Other,CHF,Alive,600,\n'),
+        ("diagnosis.csv", '100001,"038.9\n'),
+    ], ids=["patient", "diagnosis"])
+    def test_patient_or_diagnosis_record_over_several_lines_is_data_error(self, tiny_dump, capsys, filename, record):
+        # the open quote used to swallow rows up to the next quote, uncounted
+        path = tiny_dump / filename
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.insert(len(lines) - 10, record)
+        path.write_text("".join(lines), encoding="utf-8")
+        assert main(["cohort", "--data-dir", str(tiny_dump)]) == 3
+        err = capsys.readouterr().err
+        assert f"{filename}: the record starting on line {len(lines) - 10} runs on to line" in err
+
+    @pytest.mark.parametrize("content", [
+        None, "{not json", '{"Heart rate": "abc"}', '{"Heart rate": null}', '{"Heart rat": 80}',
+    ], ids=["missing", "not-json", "text-value", "null-value", "unknown-key"])
+    def test_bad_normal_values_file_is_config_error(self, tmp_path, capsys, content):
+        normals = tmp_path / "normals.json"
+        if content is not None:
+            normals.write_text(content, encoding="utf-8")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"task=los\ndata_dir={tmp_path}\nnormal_values_file={normals}\n", encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert str(normals) in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_run_and_compare_roundtrip(self, small_dump, tmp_path, capsys):

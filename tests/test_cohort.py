@@ -14,9 +14,9 @@ from icubench.cohort import (
 from icubench.phenotypes import PhenotypeCatalog
 from icubench.ingestion import stay_table
 from icubench.preprocessing import build_stay_grid
-from icubench.schema import DischargeStatus, StayMeta, Task, canonical_schema
+from icubench.schema import DischargeStatus, StayMeta, normal_values
 
-SCHEMA = canonical_schema()
+NORMALS = normal_values()
 
 
 def meta(stay_id, *, age=40.0, hours=72, status=DischargeStatus.ALIVE, death_hours=None, patient=None):
@@ -34,7 +34,7 @@ def meta(stay_id, *, age=40.0, hours=72, status=DischargeStatus.ALIVE, death_hou
 
 
 def grid_for(m):
-    return build_stay_grid(m, stay_table([m], [])[0], SCHEMA)
+    return build_stay_grid(m, stay_table([m], [])[0], NORMALS)
 
 
 class TestBaseCohort:
@@ -72,7 +72,6 @@ class TestMortality:
         m = meta(1, hours=72, status=DischargeStatus.EXPIRED, death_hours=72)
         (inst,) = build_mortality_instances({1: grid_for(m)}, {1: m}, 24)
         assert (inst.start, inst.end, inst.label) == (0, 24, 1.0)
-        assert inst.task == Task.MORTALITY
 
     def test_missing_status_dropped(self):
         m = meta(1, hours=72, status=DischargeStatus.MISSING)

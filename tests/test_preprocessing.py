@@ -20,12 +20,11 @@ from icubench.schema import (
     VARIABLES,
     DischargeStatus,
     StayMeta,
-    Task,
     TaskInstance,
-    canonical_schema,
+    normal_values,
 )
 
-SCHEMA = canonical_schema()
+NORMALS = normal_values()
 NUM_INDEX = {name: i for i, name in enumerate(NUMERICAL_VARIABLES)}
 CAT_INDEX = {name: i for i, name in enumerate(CATEGORICAL_VARIABLES)}
 
@@ -106,48 +105,48 @@ class TestBinning:
         # the patient table's age is an offset-0 row ahead of the file's rows at offset 0
         meta = _meta(1)
         table, _ = stay_table([meta], [(1, "Age", 0, "not a number")])
-        grid = build_stay_grid(meta, table.rows(1), SCHEMA)
+        grid = build_stay_grid(meta, table.rows(1), NORMALS)
         assert grid.numeric[0, NUM_INDEX["Age"]] == 50.0
 
     def test_parseable_age_row_in_hour_zero_wins(self):
         meta = _meta(1)
         table, _ = stay_table([meta], [(1, "Age", 0, "77")])
-        grid = build_stay_grid(meta, table.rows(1), SCHEMA)
+        grid = build_stay_grid(meta, table.rows(1), NORMALS)
         assert list(grid.numeric[:, NUM_INDEX["Age"]]) == [77.0] * 3
 
 
 class TestImpute:
     def test_carry_forward_then_normal(self):
-        grid = impute(bin_hourly(rows(("Heart rate", 0, "80"), ("Heart rate", 180, "90")), 6), SCHEMA)
+        grid = impute(bin_hourly(rows(("Heart rate", 0, "80"), ("Heart rate", 180, "90")), 6), NORMALS)
         hr = grid.numeric[:, NUM_INDEX["Heart rate"]]
         assert list(hr) == [80.0, 80.0, 80.0, 90.0, 90.0, 90.0]
 
     def test_never_observed_gets_normal_value(self):
-        grid = impute(bin_hourly(rows(), 3), SCHEMA)
+        grid = impute(bin_hourly(rows(), 3), NORMALS)
         assert np.all(grid.numeric[:, NUM_INDEX["Temperature"]] == 37.0)
 
     def test_mask_preserved(self):
         # the observed mask is the binned grid's non-NaN cells; impute leaves that grid as it was
         binned = bin_hourly(rows(("Heart rate", 0, "80")), 3)
-        filled = impute(binned, SCHEMA)
+        filled = impute(binned, NORMALS)
         assert (~np.isnan(binned.numeric)).sum() == 1 and (binned.codes >= 0).sum() == 0
         assert not np.isnan(filled.numeric).any() and (filled.codes >= 0).all()
 
     def test_categorical_carry_forward(self):
         table = rows(("Gender", 0, "Female"))
-        grid = impute(bin_hourly(table, 4), SCHEMA)
+        grid = impute(bin_hourly(table, 4), NORMALS)
         assert labels(grid, table, "Gender") == ["Female"] * 4
 
     def test_categorical_unknown_before_first_observation(self):
         table = rows(("Glasgow Coma Score Total", 130, "14"))
-        grid = impute(bin_hourly(table, 4), SCHEMA)
+        grid = impute(bin_hourly(table, 4), NORMALS)
         assert labels(grid, table, "Glasgow Coma Score Total") == [UNKNOWN, UNKNOWN, "14", "14"]
 
     def test_explicit_unknown_is_an_observation(self):
         # an "unknown" row stops carry-forward of the patient table's gender
         meta = _meta(1, hours=4)
         table, _ = stay_table([meta], [(1, "Gender", 125, " unknown ")])
-        grid = build_stay_grid(meta, table.rows(1), SCHEMA)
+        grid = build_stay_grid(meta, table.rows(1), NORMALS)
         assert labels(grid, table, "Gender") == ["Female", "Female", UNKNOWN, UNKNOWN]
 
 
@@ -169,10 +168,10 @@ class TestVocabs:
     def test_unseen_values_encode_to_unknown_index(self):
         table, _ = stay_table([], [(1, "Gender", 0, "Female"), (2, "Gender", 0, "Male")])
         vocabs = build_vocabs(table, [1])
-        grid = impute(bin_hourly(table.rows(2), 2), SCHEMA)
+        grid = impute(bin_hourly(table.rows(2), 2), NORMALS)
         encoded = encode_categoricals(grid, vocabs)
         assert encoded[0, CAT_INDEX["Gender"]] == 0
-        assert encode_categoricals(impute(bin_hourly(table.rows(1), 2), SCHEMA), vocabs)[0, CAT_INDEX["Gender"]] == 1
+        assert encode_categoricals(impute(bin_hourly(table.rows(1), 2), NORMALS), vocabs)[0, CAT_INDEX["Gender"]] == 1
 
     def test_leak_freedom_by_construction(self):
         test_only_value = "Nonbinary"
@@ -193,8 +192,8 @@ class TestVocabs:
 
 class TestOversample:
     def _insts(self, n_neg, n_pos):
-        out = [TaskInstance(stay_id=i, start=0, end=1, task=Task.MORTALITY, label=0.0) for i in range(n_neg)]
-        out += [TaskInstance(stay_id=1000 + i, start=0, end=1, task=Task.MORTALITY, label=1.0) for i in range(n_pos)]
+        out = [TaskInstance(stay_id=i, start=0, end=1, label=0.0) for i in range(n_neg)]
+        out += [TaskInstance(stay_id=1000 + i, start=0, end=1, label=1.0) for i in range(n_pos)]
         return out
 
     def test_three_one_becomes_three_three(self):
@@ -246,6 +245,6 @@ class TestMetaRecords:
 
     def test_grid_has_constant_demographics(self):
         table, _ = stay_table([_meta(3, hours=5)], [])
-        grid = build_stay_grid(_meta(3, hours=5), table.rows(3), SCHEMA)
+        grid = build_stay_grid(_meta(3, hours=5), table.rows(3), NORMALS)
         assert np.all(grid.numeric[:, NUM_INDEX["Age"]] == 50.0)
         assert labels(grid, table, "Gender") == ["Female"] * 5

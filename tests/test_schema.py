@@ -7,80 +7,61 @@ import pytest
 from icubench.errors import ConfigError, DataError
 from icubench.phenotypes import PHENOTYPE_CATEGORIES, PhenotypeCatalog
 from icubench.schema import (
-    CATEGORICAL,
-    NUMERICAL,
+    CATEGORICAL_VARIABLES,
+    DEFAULT_NORMAL_VALUES,
+    NUMERICAL_VARIABLES,
+    VARIABLES,
     DischargeStatus,
     StayMeta,
-    Task,
     TaskInstance,
-    canonical_schema,
     grid_hours,
+    normal_values,
     parse_age,
-    total_ohe_width,
-    apply_vocabs,
+    read_normal_values,
 )
 
 
 class TestCanonicalSchema:
     def test_counts_and_order(self):
-        schema = canonical_schema()
-        assert len(schema) == 20
-        assert sum(s.kind == NUMERICAL for s in schema) == 13
-        assert sum(s.kind == CATEGORICAL for s in schema) == 7
-        assert schema[0].name == "Heart rate" and schema[0].kind == NUMERICAL
+        assert len(VARIABLES) == 20
+        assert len(NUMERICAL_VARIABLES) == 13 and normal_values().shape == (13,)
+        assert len(CATEGORICAL_VARIABLES) == 7
+        assert VARIABLES[0] == "Heart rate"
         # numerical block strictly precedes the categorical block
-        kinds = [s.kind for s in schema]
-        assert kinds == [NUMERICAL] * 13 + [CATEGORICAL] * 7
+        assert VARIABLES == NUMERICAL_VARIABLES + CATEGORICAL_VARIABLES
 
     def test_contains_gcs_total_categorical(self):
-        schema = canonical_schema()
-        spec = next(s for s in schema if s.name == "Glasgow Coma Score Total")
-        assert spec.kind == CATEGORICAL
+        assert "Glasgow Coma Score Total" in CATEGORICAL_VARIABLES
 
     def test_stable_across_calls(self):
-        a = canonical_schema()
-        b = canonical_schema()
-        assert a == b
+        assert np.array_equal(normal_values(), normal_values())
 
     def test_normal_values_finite(self):
-        for spec in canonical_schema():
-            if spec.kind == NUMERICAL:
-                assert math.isfinite(spec.normal_value)
+        normals = normal_values()
+        assert normals.dtype == np.float64 and np.isfinite(normals).all()
 
     def test_normal_value_override(self):
-        schema = canonical_schema({"Heart rate": 80.0})
-        assert schema[0].normal_value == 80.0
+        # "7.35" is what float() accepts; 0 is a finite value like any other
+        normals = dict(zip(NUMERICAL_VARIABLES, normal_values({"Heart rate": 80.0, "pH": "7.35", "FiO2": 0})))
+        assert normals["Heart rate"] == 80.0 and normals["pH"] == 7.35 and normals["FiO2"] == 0.0
+        assert normals["Glucose"] == DEFAULT_NORMAL_VALUES["Glucose"]
 
     def test_unknown_override_key_rejected(self):
         with pytest.raises(ConfigError):
-            canonical_schema({"nonexistent variable": 1.0})
+            normal_values({"nonexistent variable": 1.0})
+        with pytest.raises(ConfigError):
+            normal_values({"Gender": 1.0})   # categorical: no normal value
+
+    @pytest.mark.parametrize("value", ["abc", None, [80], "nan", float("inf"), "-inf"])
+    def test_override_that_is_not_a_finite_number_rejected(self, value):
+        with pytest.raises(ConfigError, match="Heart rate"):
+            normal_values({"Heart rate": value})
 
     def test_schema_file_roundtrip(self, tmp_path):
-        from icubench.schema import read_normal_values
-
         overrides = tmp_path / "normals.json"
         overrides.write_text('{"Heart rate": 80.0}', encoding="utf-8")
-        assert read_normal_values(overrides) == {"Heart rate": 80.0}
-        assert canonical_schema(read_normal_values(overrides))[0].normal_value == 80.0
-
-
-class TestOheWidth:
-    def test_sum_of_vocab_sizes(self):
-        schema = canonical_schema()
-        sizes = [2, 3, 5, 4, 4, 4, 3]
-        vocabs = {}
-        for spec, size in zip([s for s in schema if s.kind == CATEGORICAL], sizes):
-            vocabs[spec.name] = ("unknown", *[f"v{i}" for i in range(size - 1)])
-        assert total_ohe_width(apply_vocabs(schema, vocabs)) == 25
-
-    def test_all_singleton_vocabs(self):
-        schema = canonical_schema()
-        vocabs = {s.name: ("unknown",) for s in schema if s.kind == CATEGORICAL}
-        assert total_ohe_width(apply_vocabs(schema, vocabs)) == 7
-
-    def test_missing_vocabs_is_config_error(self):
-        with pytest.raises(ConfigError):
-            total_ohe_width(canonical_schema())
+        assert read_normal_values(overrides)[0] == 80.0
+        assert np.array_equal(read_normal_values(overrides), normal_values({"Heart rate": 80.0}))
 
 
 class TestParsing:
@@ -104,7 +85,7 @@ class TestParsing:
 class TestTypes:
     def test_empty_window_rejected(self):
         with pytest.raises(ConfigError):
-            TaskInstance(stay_id=1, start=5, end=5, task=Task.LOS, label=0.0)
+            TaskInstance(stay_id=1, start=5, end=5, label=0.0)
 
     def test_death_offset_requires_expired(self):
         with pytest.raises(ConfigError):

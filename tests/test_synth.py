@@ -7,7 +7,7 @@ from icubench.ingestion import load_dataset
 from icubench.neural import build_model, train_model
 from icubench.neural.training import InstanceGroup
 from icubench.preprocessing import build_stay_grid
-from icubench.schema import DischargeStatus, Task, canonical_schema
+from icubench.schema import DischargeStatus, Task, normal_values
 from icubench.synth import PHENOTYPE_RATES, SynthConfig, generate, synthetic_catalog
 
 
@@ -96,11 +96,11 @@ class TestRoundTrip:
 class TestPlantedSignal:
     @staticmethod
     def _mean_hr_gap(dump_dir):
-        schema = canonical_schema()
+        normals = normal_values()
         dataset = load_dataset(dump_dir)
         pos, neg = [], []
         for sid, m in dataset.metas.items():
-            grid = build_stay_grid(m, dataset.table.rows(sid), schema)
+            grid = build_stay_grid(m, dataset.table.rows(sid), normals)
             target = pos if m.hospital_discharge_status == DischargeStatus.EXPIRED else neg
             target.append(grid.numeric[:, 0].mean())
         return np.mean(pos) - np.mean(neg)
@@ -118,13 +118,13 @@ class TestPlantedSignal:
         # fit the package's own logistic scorer on pooled features and check chance level
         generate(SynthConfig(n_patients=2000, hours_range=(26, 40), seed=13, signal_strength=0.0),
                  tmp_path / "d")
-        schema = canonical_schema()
+        normals = normal_values()
         dataset = load_dataset(tmp_path / "d")
         feats, labels = [], []
         for sid, m in sorted(dataset.metas.items()):
             if m.hospital_discharge_status == DischargeStatus.MISSING:
                 continue
-            grid = build_stay_grid(m, dataset.table.rows(sid), schema)
+            grid = build_stay_grid(m, dataset.table.rows(sid), normals)
             feats.append(grid.numeric[:24])
             labels.append(1.0 if m.hospital_discharge_status == DischargeStatus.EXPIRED else 0.0)
         num = np.stack(feats)
