@@ -131,15 +131,28 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
+def _read_report(path) -> dict:
+    """A report.json as a dict; DataError naming the file if it is not one."""
     try:
-        a = json.loads(Path(args.report_a).read_text(encoding="utf-8"))
-        b = json.loads(Path(args.report_b).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read report: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"report is not valid JSON: {exc}") from exc
-    table = render_comparison(compare(a, b))
+    except ValueError as exc:   # JSON and UTF-8 decoding errors
+        raise DataError(f"{path}: report is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: not a report (the top level is not a JSON object)")
+    missing = [key for key in ("task", "seed", "folds", "aggregate") if key not in doc]
+    if missing:
+        raise DataError(f"{path}: not a report (no {', '.join(missing)})")
+    if not isinstance(doc["aggregate"], dict) or not isinstance(doc["folds"], list):
+        raise DataError(f"{path}: not a report (folds must be a list and aggregate an object)")
+    if not all(isinstance(fold, dict) and isinstance(fold.get("metrics"), dict) for fold in doc["folds"]):
+        raise DataError(f"{path}: not a report (a fold has no metrics)")
+    return doc
+
+
+def _cmd_compare(args) -> int:
+    table = render_comparison(compare(_read_report(args.report_a), _read_report(args.report_b)))
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8")
         print(f"wrote {args.out}")

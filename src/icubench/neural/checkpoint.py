@@ -12,6 +12,9 @@ Layout (little-endian):
         ndim     uint8, shape int64 each
         data     float64 row-major
 
+Parameters are float64 on disk; models train in float32, and widening
+float32 to float64 is exact, so a loaded array equals the trained one.
+
 Loading rejects files whose schema hash differs from the active one, so a
 model can never silently run against a different vocabulary, and raises
 ``SchemaError`` for a file that ends before its layout does, has bytes after

@@ -9,15 +9,21 @@ from ..schema import Task
 _EPS = 1e-12
 
 
+def _float_dtype(x) -> type:
+    """float32 for float32 input, float64 for anything else."""
+    return np.float32 if np.asarray(x).dtype == np.float32 else np.float64
+
+
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stable logistic; outputs stay inside (0, 1) for |x| < ~36.
+    """Numerically stable logistic, computed in the input's float dtype.
 
     Computed as exp(min(x, 0)) / (1 + exp(-|x|)) without branching: for
     x >= 0 the numerator is exactly 1, and for x < 0 exp(-|x|) is exp(x), so
     each element equals 1 / (1 + exp(-x)) or exp(x) / (1 + exp(x)) bit for
-    bit.  ``out`` may be ``x`` itself; the denominator is taken first.
+    bit.  Outputs stay inside (0, 1) for |x| < ~36 in float64 (~16 in
+    float32).  ``out`` may be ``x`` itself; the denominator is taken first.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=_float_dtype(x))
     den = np.abs(x, out=np.empty_like(x))
     np.negative(den, out=den)
     np.exp(den, out=den)
@@ -43,9 +49,11 @@ def relu(x: np.ndarray) -> np.ndarray:
 def bce_loss(preds: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy and its gradient w.r.t. the predictions.
 
-    Predictions are clamped away from 0/1 before the log so saturated
-    outputs cannot produce infinities.
+    The loss is computed in float64, where predictions are clamped away
+    from 0/1 before the log so saturated outputs cannot produce infinities
+    (1 - 1e-12 is 1 in float32).  The gradient has the predictions' dtype.
     """
+    dtype = _float_dtype(preds)
     preds = np.asarray(preds, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if preds.shape != labels.shape:
@@ -57,18 +65,20 @@ def bce_loss(preds: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     n = preds.size
     loss = -float(np.sum(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))) / n
     dpreds = (p - labels) / (p * (1.0 - p)) / n
-    return loss, dpreds
+    return loss, dpreds.astype(dtype, copy=False)
 
 
 def mse_loss(preds: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error and its gradient w.r.t. the predictions."""
+    """Mean squared error (in float64) and its gradient w.r.t. the predictions,
+    in their dtype."""
+    dtype = _float_dtype(preds)
     preds = np.asarray(preds, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if preds.shape != targets.shape:
         raise ValueError(f"prediction shape {preds.shape} != target shape {targets.shape}")
     diff = preds - targets
     n = preds.size
-    return float(np.sum(diff * diff)) / n, 2.0 * diff / n
+    return float(np.sum(diff * diff)) / n, (2.0 * diff / n).astype(dtype, copy=False)
 
 
 def task_loss(preds: np.ndarray, labels: np.ndarray, task: Task) -> tuple[float, np.ndarray]:

@@ -50,9 +50,12 @@ def grad_check(model, batch, eps: float = 1e-5, n_coords: int = 200, rng=None) -
 
     Coordinates where the two perturbed evaluations land on different sides
     of a ReLU kink are excluded from the error statistic and reported
-    separately (the loss is not differentiable there).
+    separately (the loss is not differentiable there).  The check runs on a
+    float64 copy of the model, so a float32 model is left untouched and the
+    differences are not swamped by float32 round-off.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
+    model = model.astype(np.float64)
     num, cat, labels = batch
     _, grads, _ = model.loss_and_grads(num, cat, labels)
 

@@ -28,10 +28,13 @@ and builds h_{t-1} in one batch-major ``[B, T, H]`` buffer, so the weight
 and input gradients are single ``[B*T, ·]`` GEMMs whose rows run
 batch-major.
 
-Both passes are bit-for-bit equal to the batch-major kernels kept as
-oracles in ``tests/_reference.py``: every element goes through the same
-floating-point operations in the same order, and every GEMM gets the same
-operands in the same row order.
+Every buffer is allocated in the dtype of ``Wh``, and ``x`` and ``dh_last``
+are cast to it, so the kernel runs in the parameters' precision: models
+built by ``build_model`` run it in float32.  For float64 inputs both passes
+are bit-for-bit equal to the batch-major kernels kept as oracles in
+``tests/_reference.py``: every element goes through the same floating-point
+operations in the same order, and every GEMM gets the same operands in the
+same row order.
 """
 
 from __future__ import annotations
@@ -54,13 +57,15 @@ def lstm_forward(x: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray):
     H = Wh.shape[1]
     if Wx.shape[1] != D:
         raise ValueError(f"input width {D} does not match weights ({Wx.shape[1]})")
-    gates = np.empty((T, B, 4 * H))
+    dtype = Wh.dtype
+    x = np.asarray(x, dtype=dtype)
+    gates = np.empty((T, B, 4 * H), dtype)
     np.add((x.reshape(B * T, D) @ Wx.T).reshape(B, T, 4 * H).transpose(1, 0, 2), b, out=gates)
-    hs = np.empty((T, B, H))
-    c_prev = np.empty((T, B, H))
-    tanh_c = np.empty((T, B, H))
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
+    hs = np.empty((T, B, H), dtype)
+    c_prev = np.empty((T, B, H), dtype)
+    tanh_c = np.empty((T, B, H), dtype)
+    h = np.zeros((B, H), dtype)
+    c = np.zeros((B, H), dtype)
     for t in range(T):
         a = gates[t]
         a += h @ Wh.T
@@ -81,9 +86,10 @@ def lstm_backward(dh_last: np.ndarray, cache, Wx: np.ndarray, Wh: np.ndarray):
     x, hs, gates, c_prev, tanh_c = cache["x"], cache["hs"], cache["gates"], cache["c_prev"], cache["tanh_c"]
     B, T, D = x.shape
     H = Wh.shape[1]
-    dz_all = np.empty((B, T, 4 * H))
-    dh = dh_last
-    dc_next = np.zeros((B, H))
+    dtype = Wh.dtype
+    dz_all = np.empty((B, T, 4 * H), dtype)
+    dh = np.asarray(dh_last, dtype=dtype)
+    dc_next = np.zeros((B, H), dtype)
     for t in range(T - 1, -1, -1):
         a = gates[t]
         i, f, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
@@ -99,7 +105,7 @@ def lstm_backward(dh_last: np.ndarray, cache, Wx: np.ndarray, Wh: np.ndarray):
         dz[:, 3 * H:] = dc * i * (1.0 - g * g)
         dh = dz @ Wh
     flat_dz = dz_all.reshape(B * T, 4 * H)
-    h_prev = np.empty((B, T, H))
+    h_prev = np.empty((B, T, H), dtype)
     h_prev[:, 0] = 0.0
     h_prev[:, 1:] = hs[:-1].transpose(1, 0, 2)
     dWh = flat_dz.T @ h_prev.reshape(B * T, H)

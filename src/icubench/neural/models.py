@@ -10,6 +10,7 @@ the sequence model sees, embeddings included.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Mapping
 
@@ -55,13 +56,31 @@ class BaseModel:
         return [k for k in self.params if k not in self.frozen]
 
     @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype; inputs, caches and gradients follow it."""
+        return self.params["head/W"].dtype
+
+    def astype(self, dtype) -> "BaseModel":
+        """A copy of the model whose parameters are new arrays cast to ``dtype``.
+
+        The copy's embedding tables are its own ``emb/<name>`` parameters, so
+        an optimiser step on a parameter moves the table the model reads.
+        """
+        model = copy.copy(self)
+        model.params = {name: arr.astype(dtype) for name, arr in self.params.items()}
+        if self.emb is not None:
+            tables = {name: model.params[f"emb/{name}"] for name in self.emb.names}
+            model.emb = EmbeddingTable(tables, trainable=self.emb.trainable)
+        return model
+
+    @property
     def input_width(self) -> int:
         return (N_NUMERIC if self.use_numeric else 0) + (self.emb.width if self.emb else 0)
 
     def _assemble(self, num: np.ndarray | None, cat: np.ndarray | None) -> np.ndarray:
         parts = []
         if self.use_numeric:
-            parts.append(np.asarray(num, dtype=np.float64))
+            parts.append(np.asarray(num, dtype=self.dtype))
         if self.emb is not None:
             parts.append(self.emb.forward(cat))
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
@@ -117,7 +136,7 @@ class BaseModel:
         rep, cache, preacts = self._core(x)
         mask = None
         if dropout > 0.0 and dropout_rng is not None:
-            mask = (dropout_rng.random(rep.shape) >= dropout) / (1.0 - dropout)
+            mask = (dropout_rng.random(rep.shape) >= dropout).astype(rep.dtype) / (1.0 - dropout)
             rep = rep * mask
         z, preds = self._head_out(rep)
         loss, dpreds = task_loss(preds, labels, self.task)
@@ -233,6 +252,9 @@ def build_model(
     ``vocab_sizes`` must be the ordered categorical vocab sizes (None drops
     the categorical channels entirely).  ``encoding="ohe"`` is a frozen
     identity embedding, so it shares the exact code path of ``embedding``.
+
+    The weights are drawn in float64 and the model is returned in float32,
+    the dtype that training and prediction then run in.
     """
     emb = None
     if vocab_sizes:
@@ -245,9 +267,11 @@ def build_model(
         else:
             raise ValueError(f"unknown encoding {encoding!r}")
     if kind == "lr":
-        return LinearModel(task, use_numeric, emb, rng)
-    if kind == "ann":
-        return AnnModel(task, use_numeric, emb, rng, hidden=ann_hidden)
-    if kind == "bilstm":
-        return BilstmModel(task, use_numeric, emb, rng, hidden=hidden)
-    raise ValueError(f"unknown model kind {kind!r}")
+        model = LinearModel(task, use_numeric, emb, rng)
+    elif kind == "ann":
+        model = AnnModel(task, use_numeric, emb, rng, hidden=ann_hidden)
+    elif kind == "bilstm":
+        model = BilstmModel(task, use_numeric, emb, rng, hidden=hidden)
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return model.astype(np.float32)

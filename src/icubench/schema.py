@@ -98,15 +98,16 @@ def normal_values(overrides: Mapping[str, object] | None = None) -> np.ndarray:
     """The 13 imputation targets in NUMERICAL_VARIABLES order, float64.
 
     ``overrides`` replaces individual defaults.  A key that is not a
-    numerical variable, or a value that float() rejects or that is not
-    finite, is a ConfigError, so typos in config files fail loudly.
+    numerical variable, or a value that is a boolean, that float() rejects
+    or that is not finite, is a ConfigError, so typos in config files fail
+    loudly.
     """
     normals = dict(DEFAULT_NORMAL_VALUES)
     for name, value in (overrides or {}).items():
         if name not in normals:
             raise ConfigError(f"normal value given for unknown variable {name!r}")
         try:
-            normals[name] = float(value)
+            normals[name] = math.nan if isinstance(value, bool) else float(value)
         except (TypeError, ValueError):
             normals[name] = math.nan
         if not math.isfinite(normals[name]):

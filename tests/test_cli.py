@@ -93,7 +93,8 @@ class TestBadInput:
 
     @pytest.mark.parametrize("content", [
         None, "{not json", '{"Heart rate": "abc"}', '{"Heart rate": null}', '{"Heart rat": 80}',
-    ], ids=["missing", "not-json", "text-value", "null-value", "unknown-key"])
+        '{"Heart rate": true}',
+    ], ids=["missing", "not-json", "text-value", "null-value", "unknown-key", "bool-value"])
     def test_bad_normal_values_file_is_config_error(self, tmp_path, capsys, content):
         normals = tmp_path / "normals.json"
         if content is not None:
@@ -146,3 +147,20 @@ class TestCompareCommand:
     def test_unreadable_report_is_data_error(self, tmp_path):
         missing = tmp_path / "missing.json"
         assert main(["compare", str(missing), str(missing)]) == 3
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'{"task": "\xe9"}')
+        assert main(["compare", str(not_utf8), str(not_utf8)]) == 3
+
+    @pytest.mark.parametrize("content", [
+        "{}",
+        "[1, 2]",
+        '{"task": "los", "seed": 1, "folds": []}',
+        '{"task": "los", "seed": 1, "folds": 3, "aggregate": {}}',
+        '{"task": "los", "seed": 1, "folds": [{"metrics": {"mae": 1.0}}, {}], "aggregate": {}}',
+    ], ids=["empty-object", "list", "no-aggregate", "folds-not-a-list", "fold-without-metrics"])
+    def test_json_that_is_not_a_report_is_data_error(self, tmp_path, capsys, content):
+        path = tmp_path / "other.json"
+        path.write_text(content, encoding="utf-8")
+        assert main(["compare", str(path), str(path)]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and "not a report" in err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _reference import ref_bilstm_summary, ref_lstm_sequence
-from icubench.neural.lstm import init_direction, lstm_forward
+from icubench.neural.lstm import init_direction, lstm_backward, lstm_forward
 from icubench.neural.models import BilstmModel
 from icubench.schema import N_NUMERIC, Task
 
@@ -54,6 +54,16 @@ class TestForward:
         params = init_direction(np.random.default_rng(0), 3, 6)
         assert np.all(params["b"][6:12] == 1.0)
         assert np.all(params["b"][:6] == 0.0)
+
+    def test_float64_weights_keep_the_kernel_in_float64(self):
+        # the bitwise oracles in _reference.py are float64: float32 input must not narrow them
+        rng = np.random.default_rng(2)
+        params = random_direction(rng, 5, 3)
+        x = rng.normal(size=(2, 4, 5)).astype(np.float32)
+        hs, cache = lstm_forward(x, params["Wx"], params["Wh"], params["b"])
+        dx, grads = lstm_backward(np.ones((2, 3), np.float32), cache, params["Wx"], params["Wh"])
+        arrays = {"hs": hs, "dx": dx, **cache, **grads}
+        assert {k: v.dtype for k, v in arrays.items() if v.dtype != np.float64} == {}
 
     def test_width_mismatch_raises(self):
         params = init_direction(np.random.default_rng(0), 4, 3)

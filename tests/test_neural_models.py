@@ -15,6 +15,7 @@ from icubench.neural import (
     mse_loss,
     train_model,
 )
+from icubench.neural import lstm
 from icubench.neural.checkpoint import load_checkpoint, save_checkpoint, schema_hash
 from icubench.neural.training import InstanceGroup
 from icubench.schema import CATEGORICAL_VARIABLES, Task, normal_values
@@ -166,6 +167,16 @@ class TestGradCheck:
         assert result.max_rel_error < 1e-4
         assert result.n_checked >= 200
 
+    def test_model_is_left_untouched_in_float32(self):
+        rng = np.random.default_rng(6)
+        model = build_model("bilstm", Task.MORTALITY, rng, vocab_sizes=VOCABS, hidden=4)
+        before = {k: v.copy() for k, v in model.params.items()}
+        grad_check(model, small_batch(rng, Task.MORTALITY), n_coords=30, rng=np.random.default_rng(0))
+        assert model.params.keys() == before.keys()
+        for key, value in model.params.items():
+            assert value.dtype == np.float32
+            assert value.tobytes() == before[key].tobytes()
+
     def test_los_kinks_are_reported_not_failed(self):
         rng = np.random.default_rng(7)
         model = build_model("lr", Task.LOS, rng, vocab_sizes=None, use_numeric=True)
@@ -223,6 +234,47 @@ class TestDeterminism:
             assert np.array_equal(snapshots[0][key], snapshots[1][key])
 
 
+class TestFloat32:
+    """Models train in float32: numpy promotes float32 @ float64 to float64
+    without a word, and one stray float64 array would undo the saving."""
+
+    @pytest.mark.parametrize("task", [Task.PHENOTYPING, Task.LOS])   # the BCE and the MSE path
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("encoding", ["ohe", "embedding"])
+    @pytest.mark.parametrize("kind", ["lr", "ann", "bilstm"])
+    def test_one_training_step_stays_in_float32(self, monkeypatch, kind, encoding, dropout, task):
+        forward = lstm.lstm_forward
+        caches = []
+
+        def recording_forward(*args):
+            hs, cache = forward(*args)
+            caches.append(cache)
+            return hs, cache
+
+        monkeypatch.setattr(lstm, "lstm_forward", recording_forward)
+        rng = np.random.default_rng(1)
+        model = build_model(kind, task, rng, vocab_sizes=VOCABS, encoding=encoding, hidden=4, ann_hidden=6)
+        num, cat, labels = small_batch(rng, task)
+        _, grads, _ = model.loss_and_grads(num, cat, labels, dropout=dropout, dropout_rng=rng)
+        opt = Adam(model.params, model.trainable)
+        opt.step(grads)
+        assert len(caches) == (2 if kind == "bilstm" else 0)
+        arrays = {f"param {k}": v for k, v in model.params.items()}
+        arrays.update({f"table {k}": v for k, v in model.emb.tables.items()})
+        arrays.update({f"grad {k}": v for k, v in grads.items()})
+        arrays.update({f"adam m {k}": v for k, v in opt.m.items()})
+        arrays.update({f"adam v {k}": v for k, v in opt.v.items()})
+        for i, cache in enumerate(caches):
+            arrays.update({f"cache {i} {k}": v for k, v in cache.items()})
+        assert {k: v.dtype for k, v in arrays.items() if v.dtype != np.float32} == {}
+        assert model.predict(num, cat).dtype == np.float32
+
+    def test_embedding_tables_are_the_parameters(self):
+        model = build_model("lr", Task.MORTALITY, np.random.default_rng(0), vocab_sizes=VOCABS)
+        for name, table in model.emb.tables.items():
+            assert table is model.params[f"emb/{name}"]
+
+
 FIXED_VOCABS = {name: ("unknown", "a") for name in CATEGORICAL_VARIABLES}
 
 
@@ -247,6 +299,16 @@ class TestCheckpoint:
             assert np.array_equal(params[key], value)
         with pytest.raises(SchemaError):
             load_checkpoint(path, b"\x00" * 32)
+
+    def test_float32_model_is_stored_as_float64_exactly(self, tmp_path):
+        model = build_model("bilstm", Task.MORTALITY, np.random.default_rng(0), vocab_sizes=VOCABS, hidden=4)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model.params, b"\x01" * 32, {"kind": "bilstm", "task": "mortality24"})
+        _, params = load_checkpoint(path, b"\x01" * 32)
+        assert params.keys() == model.params.keys()
+        for key, value in model.params.items():
+            assert value.dtype == np.float32 and params[key].dtype == np.dtype("<f8")
+            assert np.array_equal(params[key], value.astype(np.float64))
 
     def test_truncated_file_raises_schema_error(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -44,6 +44,7 @@ class TestCanonicalSchema:
         # "7.35" is what float() accepts; 0 is a finite value like any other
         normals = dict(zip(NUMERICAL_VARIABLES, normal_values({"Heart rate": 80.0, "pH": "7.35", "FiO2": 0})))
         assert normals["Heart rate"] == 80.0 and normals["pH"] == 7.35 and normals["FiO2"] == 0.0
+        assert normal_values({"Heart rate": "80"})[0] == normal_values({"Heart rate": 80})[0] == 80.0
         assert normals["Glucose"] == DEFAULT_NORMAL_VALUES["Glucose"]
 
     def test_unknown_override_key_rejected(self):
@@ -52,7 +53,7 @@ class TestCanonicalSchema:
         with pytest.raises(ConfigError):
             normal_values({"Gender": 1.0})   # categorical: no normal value
 
-    @pytest.mark.parametrize("value", ["abc", None, [80], "nan", float("inf"), "-inf"])
+    @pytest.mark.parametrize("value", ["abc", None, [80], "nan", float("inf"), "-inf", True, False])
     def test_override_that_is_not_a_finite_number_rejected(self, value):
         with pytest.raises(ConfigError, match="Heart rate"):
             normal_values({"Heart rate": value})
