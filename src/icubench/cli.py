@@ -146,9 +146,19 @@ def _read_report(path) -> dict:
         raise DataError(f"{path}: not a report (no {', '.join(missing)})")
     if not isinstance(doc["aggregate"], dict) or not isinstance(doc["folds"], list):
         raise DataError(f"{path}: not a report (folds must be a list and aggregate an object)")
-    if not all(isinstance(fold, dict) and isinstance(fold.get("metrics"), dict) for fold in doc["folds"]):
-        raise DataError(f"{path}: not a report (a fold has no metrics)")
+    for i, fold in enumerate(doc["folds"]):
+        if not (isinstance(fold, dict) and isinstance(fold.get("metrics"), dict)):
+            raise DataError(f"{path}: not a report (a fold has no metrics)")
+        for key, value in fold["metrics"].items():
+            if value is not None and not _is_finite_number(value):
+                raise DataError(f"{path}: not a report (fold {i} metric {key!r} is {value!r}, not a finite number)")
     return doc
+
+
+def _is_finite_number(value) -> bool:
+    # JSON reads 1e400 as inf; an int is compared exactly, so one too large for a float fails too
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _cmd_compare(args) -> int:

@@ -157,7 +157,12 @@ class TestCompareCommand:
         '{"task": "los", "seed": 1, "folds": []}',
         '{"task": "los", "seed": 1, "folds": 3, "aggregate": {}}',
         '{"task": "los", "seed": 1, "folds": [{"metrics": {"mae": 1.0}}, {}], "aggregate": {}}',
-    ], ids=["empty-object", "list", "no-aggregate", "folds-not-a-list", "fold-without-metrics"])
+        '{"task": "los", "seed": 1, "folds": [{"metrics": {"mae": "x"}}, {"metrics": {"mae": 1.0}}], "aggregate": {"mae": {}}}',
+        '{"task": "los", "seed": 1, "folds": [{"metrics": {"mae": [1]}}, {"metrics": {"mae": 1.0}}], "aggregate": {"mae": {}}}',
+        '{"task": "los", "seed": 1, "folds": [{"metrics": {"mae": true}}, {"metrics": {"mae": 1.0}}], "aggregate": {"mae": {}}}',
+        '{"task": "los", "seed": 1, "folds": [{"metrics": {"mae": 1e400}}, {"metrics": {"mae": 1.0}}], "aggregate": {"mae": {}}}',
+    ], ids=["empty-object", "list", "no-aggregate", "folds-not-a-list", "fold-without-metrics",
+            "text-metric", "list-metric", "bool-metric", "infinite-metric"])
     def test_json_that_is_not_a_report_is_data_error(self, tmp_path, capsys, content):
         path = tmp_path / "other.json"
         path.write_text(content, encoding="utf-8")

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from _reference import (
 )
 from icubench.errors import UndefinedMetricError
 from icubench.evaluation import (
+    _betainc,
+    _t_quantile_975,
     aggregate_folds,
     aggregate_metric_dicts,
     auprc,
@@ -234,6 +240,11 @@ class TestTTest:
         result = t_test([2.0, 2.0], [3.0, 3.0])
         assert result.p == 0.0 and result.t == -math.inf
 
+    def test_infinite_value_gives_nan_p_not_an_error(self):
+        with np.errstate(invalid="ignore"):
+            result = t_test([math.inf, 1.0], [1.0, 2.0])
+        assert math.isnan(result.p) and not result.significant_10
+
     def test_small_samples_rejected(self):
         with pytest.raises(UndefinedMetricError):
             t_test([1.0], [2.0, 3.0])
@@ -250,6 +261,48 @@ class TestTTest:
             perm_reject = ref_permutation_pvalue(a, b) < 0.05
             agree += welch_reject == perm_reject
         assert agree / total >= 0.9
+
+
+class TestStudentTAgainstScipy:
+    """The math-based Student-t functions against scipy, which only the tests install."""
+
+    def test_t_quantile_matches_stdtrit(self):
+        special = pytest.importorskip("scipy.special")
+        for df in range(1, 1001):
+            assert _t_quantile_975(df) == pytest.approx(special.stdtrit(df, 0.975), rel=1e-12, abs=0.0)
+
+    def test_betainc_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        ends = np.array([1e-9, 1e-7, 5e-7, 1e-6, 1e-4, 1e-2])
+        xs = np.concatenate([ends, np.linspace(0.02, 0.98, 49), 1.0 - ends[::-1]])
+        for a in np.geomspace(0.25, 5000.0, 80):
+            for x in xs:
+                assert _betainc(a, 0.5, x) == pytest.approx(special.betainc(a, 0.5, x), rel=0.0, abs=1e-12)
+
+    def test_welch_p_matches_ttest_ind(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            n_a, n_b = rng.integers(2, 13, size=2)
+            a = rng.normal(0.0, rng.uniform(0.1, 3.0), n_a)
+            b = rng.normal(rng.uniform(-2.0, 2.0), rng.uniform(0.1, 3.0), n_b)
+            expected = stats.ttest_ind(a, b, equal_var=False).pvalue
+            assert t_test(a, b).p == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+    def test_the_program_never_loads_scipy(self):
+        code = (
+            "import sys\n"
+            "import icubench.cli\n"
+            "from icubench.evaluation import aggregate_folds, t_test\n"
+            "aggregate_folds([1.0, 2.0, 3.0])\n"
+            "t_test([1.0, 2.0, 3.0], [2.0, 3.0, 5.0])\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              check=True, timeout=120)
+        assert done.stdout.strip() == "[]"
 
 
 class TestAggregateMetricDicts:
