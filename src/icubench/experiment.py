@@ -104,9 +104,11 @@ class ExperimentConfig:
             raise ConfigError(f"embed_init must be 'random' or 'identity', got {self.embed_init!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
-        for name in ("hidden", "ann_hidden", "epochs", "batch_size", "max_hours"):
+        for name in ("hidden", "ann_hidden", "epochs", "batch_size", "max_hours", "embed_dim_cap"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be a finite number above 0, got {self.learning_rate!r}")
         horizon = self.mortality_horizon
         if horizon and self.max_hours < horizon:
             raise ConfigError(f"max_hours {self.max_hours} is below the mortality horizon {horizon}")

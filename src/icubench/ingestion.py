@@ -11,9 +11,11 @@ these columns, in any order (other columns are ignored):
                        nursingchartcelltypevallabel, nursingchartvalue
     diagnosis.csv      patientunitstayid, icd9code
 
-An empty file or a missing column is a SchemaError.  load_records streams
-the long tables (lab, nurseCharting) row by row; load_dataset parses each
-kept row once into one columnar StayTable, 29 bytes a row.  Blank lines
+An empty file or a missing column is a SchemaError.  _table_rows streams
+every table row by row; stay_table turns each lab and nurseCharting row in
+one pass into one columnar StayTable, 29 bytes a row.  A numerical value
+outside its schema.VALID_RANGES entry is kept as NaN (unobserved), like an
+unparseable one, and counted per table as out of range.  Blank lines
 are skipped.  Rows with missing or extra cells (an unquoted comma inside a
 value, for instance) are counted as malformed and skipped; a file that is
 not UTF-8 or that the CSV parser cannot read (an unterminated quote running
@@ -34,10 +36,9 @@ import hashlib
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .schema import (
     N_NUMERIC,
     NUMERICAL_VARIABLES,
     UNKNOWN,
+    VALID_RANGES,
     VARIABLE_INDEX,
     DischargeStatus,
     StayMeta,
@@ -108,6 +110,13 @@ DEFAULT_VARIABLE_MAP: dict[str, str] = {
     "GCS Verbal": "Glasgow Coma Score Verbal",
 }
 
+#: Source label -> index into VARIABLES.
+_LABEL_INDEX = {label: VARIABLE_INDEX[name] for label, name in DEFAULT_VARIABLE_MAP.items()}
+_LOW, _HIGH = zip(*(VALID_RANGES[name] for name in NUMERICAL_VARIABLES))
+_AGE = VARIABLE_INDEX["Age"]
+_DEMOGRAPHICS = tuple(VARIABLE_INDEX[name] for name in ("Admission diagnosis", "Ethnicity", "Gender"))
+_STATUS = {status.value: status for status in DischargeStatus}
+
 #: Messages IngestionReport.render prints before summarizing the rest.
 MAX_MESSAGES = 200
 
@@ -120,6 +129,7 @@ class IngestionReport:
     rows_kept: dict[str, int] = field(default_factory=dict)
     rows_unmapped_variable: dict[str, int] = field(default_factory=dict)
     rows_malformed: dict[str, int] = field(default_factory=dict)
+    rows_out_of_range: dict[str, int] = field(default_factory=dict)   # kept rows whose value became NaN
     messages: list[str] = field(default_factory=list)
 
     def render(self) -> str:
@@ -128,6 +138,7 @@ class IngestionReport:
         for t in tables:
             lines.append(
                 f"{t:<14} read={self.rows_read.get(t, 0):<9} kept={self.rows_kept.get(t, 0):<9} "
+                f"out_of_range={self.rows_out_of_range.get(t, 0):<7} "
                 f"unmapped_variable={self.rows_unmapped_variable.get(t, 0):<7} "
                 f"malformed={self.rows_malformed.get(t, 0)}"
             )
@@ -209,20 +220,6 @@ def parse_patient_id(text: str) -> int:
     return int.from_bytes(digest, "little") >> 1
 
 
-def _parse_status(text: str) -> DischargeStatus:
-    text = text.strip().lower()
-    if text == "expired":
-        return DischargeStatus.EXPIRED
-    if text == "alive":
-        return DischargeStatus.ALIVE
-    return DischargeStatus.MISSING
-
-
-def _clean_category(text: str) -> str:
-    text = text.strip()
-    return text if text else UNKNOWN
-
-
 def load_stay_meta(path, report: IngestionReport | None = None) -> list[StayMeta]:
     """Read the patient table into StayMeta rows.
 
@@ -244,7 +241,7 @@ def load_stay_meta(path, report: IngestionReport | None = None) -> list[StayMeta
             offset = int(offset_text)
             if offset <= 0:
                 raise ValueError("nonpositive unit discharge offset")
-            status = _parse_status(status_text)
+            status = _STATUS.get(status_text.strip().lower(), DischargeStatus.MISSING)
             death_offset = None
             if status == DischargeStatus.EXPIRED and death_text.strip():
                 death_offset = int(death_text)
@@ -258,9 +255,9 @@ def load_stay_meta(path, report: IngestionReport | None = None) -> list[StayMeta
                     stay_id=stay_id,
                     patient_id=parse_patient_id(patient),
                     age=parse_age(age),
-                    gender=_clean_category(gender),
-                    ethnicity=_clean_category(ethnicity),
-                    admission_diagnosis=_clean_category(diagnosis),
+                    gender=gender.strip() or UNKNOWN,
+                    ethnicity=ethnicity.strip() or UNKNOWN,
+                    admission_diagnosis=diagnosis.strip() or UNKNOWN,
                     hospital_discharge_status=status,
                     unit_discharge_offset_minutes=offset,
                     death_offset_minutes=death_offset,
@@ -272,37 +269,6 @@ def load_stay_meta(path, report: IngestionReport | None = None) -> list[StayMeta
     _add(report.rows_kept, PATIENT, len(metas))
     _add(report.rows_malformed, PATIENT, malformed)
     return metas
-
-
-def load_records(path, table: str, report: IngestionReport | None = None) -> Iterator[tuple[int, str, int, str]]:
-    """Stream the measurement rows of a lab or nurseCharting table.
-
-    Yields (stay id, schema variable, offset, value text) in file order.
-    Labels are mapped through DEFAULT_VARIABLE_MAP; rows with a label it
-    lacks are filtered (and counted).  Values are yielded verbatim.
-    """
-    report = report if report is not None else IngestionReport()
-    kept = unmapped = malformed = 0
-    try:
-        for stay, offset_text, label, value in _table_rows(path, table, report):
-            variable = DEFAULT_VARIABLE_MAP.get(label.strip())
-            if variable is None:
-                unmapped += 1
-                continue
-            try:
-                stay_id = int(stay)
-                offset = int(offset_text)
-                if not (-2**63 <= stay_id < 2**63 and -2**63 <= offset < 2**63):   # stored as int64
-                    raise ValueError
-            except ValueError:
-                malformed += 1
-                continue
-            kept += 1
-            yield stay_id, variable, offset, value
-    finally:
-        _add(report.rows_kept, table, kept)
-        _add(report.rows_unmapped_variable, table, unmapped)
-        _add(report.rows_malformed, table, malformed)
 
 
 def load_diagnoses(path, report: IngestionReport | None = None) -> dict[int, frozenset[str]]:
@@ -331,45 +297,71 @@ def load_diagnoses(path, report: IngestionReport | None = None) -> dict[int, fro
     return {sid: frozenset(cs) for sid, cs in codes.items()}
 
 
-def _demographic_rows(metas: Iterable[StayMeta]) -> Iterator[tuple[int, str, int, str]]:
-    """The patient-table fields binned like measurements, as offset-0 rows."""
-    for meta in metas:
-        if not math.isnan(meta.age):
-            yield meta.stay_id, "Age", 0, repr(meta.age)
-        yield meta.stay_id, "Admission diagnosis", 0, meta.admission_diagnosis
-        yield meta.stay_id, "Ethnicity", 0, meta.ethnicity
-        yield meta.stay_id, "Gender", 0, meta.gender
+def stay_table(metas: Iterable[StayMeta], tables: Mapping[str, Iterable[tuple[str, str, str, str]]],
+               report: IngestionReport | None = None) -> tuple[StayTable, dict[int, int]]:
+    """Parse each table's (stay id, offset, label, value text) rows, as _table_rows yields them, once.
 
-
-def stay_table(metas: Iterable[StayMeta],
-               rows: Iterable[tuple[int, str, int, str]]) -> tuple[StayTable, dict[int, int]]:
-    """Parse (stay id, variable, offset, value text) rows once into a StayTable.
-
-    The demographic fields of ``metas`` enter as offset-0 rows ahead of
-    ``rows``; one stable sort by (stay, offset) then keeps, within a stay
-    and offset, demographics first and the rest in the order given.  Also
-    returns how many of ``rows`` each stay has (demographics not counted).
+    The demographic fields of ``metas`` enter as offset-0 rows ahead of the
+    tables' rows; one stable sort by (stay, offset) then keeps, within a
+    stay and offset, demographics first and the rest in the order given.
+    A numerical value outside its VALID_RANGES entry is kept as NaN.  Also
+    returns how many table rows each stay has (demographics not counted).
     """
+    report = report if report is not None else IngestionReport()
     ids = {UNKNOWN: 0}
     columns = (array("q"), array("q"), array("b"), array("d"), array("i"))
     stay, offset, variable, value, code = (column.append for column in columns)
+    for meta in metas:
+        if not math.isnan(meta.age):
+            in_range = _LOW[_AGE] <= meta.age <= _HIGH[_AGE]
+            _add(report.rows_out_of_range, PATIENT, not in_range and math.isfinite(meta.age))   # inf does not parse
+            stay(meta.stay_id)
+            offset(0)
+            variable(_AGE)
+            value(meta.age if in_range else math.nan)
+            code(-1)
+        for j, text in zip(_DEMOGRAPHICS, (meta.admission_diagnosis, meta.ethnicity, meta.gender)):
+            text = text.strip()
+            stay(meta.stay_id)
+            offset(0)
+            variable(j)
+            value(parse_value(text))
+            code(ids.setdefault(text, len(ids)) if text else -1)
+    n_demographic = len(columns[0])
 
-    def add(rows):
-        for stay_id, name, minutes, text in rows:
-            j = VARIABLE_INDEX[name]
+    for table, rows in tables.items():
+        kept = unmapped = malformed = out_of_range = 0
+        for stay_text, offset_text, label, text in rows:
+            j = _LABEL_INDEX.get(label.strip())
+            if j is None:
+                unmapped += 1
+                continue
+            try:
+                stay_id, minutes = int(stay_text), int(offset_text)
+                if not (-2**63 <= stay_id < 2**63 and -2**63 <= minutes < 2**63):   # stored as int64
+                    raise ValueError
+            except ValueError:
+                malformed += 1
+                continue
+            kept += 1
             stay(stay_id)
             offset(minutes)
             variable(j)
-            value(parse_value(text))
-            if j < N_NUMERIC:
-                code(-1)
-            else:
+            x = parse_value(text)
+            if j >= N_NUMERIC:
                 text = text.strip()
                 code(ids.setdefault(text, len(ids)) if text else -1)
+            else:
+                code(-1)
+                if not _LOW[j] <= x <= _HIGH[j] and x == x:   # NaN does not parse, so it is not out of range
+                    out_of_range += 1
+                    x = math.nan
+            value(x)
+        _add(report.rows_kept, table, kept)
+        _add(report.rows_unmapped_variable, table, unmapped)
+        _add(report.rows_malformed, table, malformed)
+        _add(report.rows_out_of_range, table, out_of_range)
 
-    add(_demographic_rows(metas))
-    n_demographic = len(columns[0])
-    add(rows)
     stay_ids, stay_offsets, *rest = (np.frombuffer(column, dtype=column.typecode) for column in columns)
     counted, counts = np.unique(stay_ids[n_demographic:], return_counts=True)
     order = np.lexsort((stay_offsets, stay_ids))
@@ -393,8 +385,8 @@ def load_dataset(data_dir) -> Dataset:
     data_dir = Path(data_dir)
     report = IngestionReport()
     metas = load_stay_meta(data_dir / TABLE_FILES[PATIENT], report)
-    rows = chain.from_iterable(load_records(data_dir / TABLE_FILES[t], t, report) for t in (LAB, NURSECHARTING))
-    table, record_counts = stay_table(metas, rows)
+    tables = {t: _table_rows(data_dir / TABLE_FILES[t], t, report) for t in (LAB, NURSECHARTING)}
+    table, record_counts = stay_table(metas, tables, report)
     diag_path = data_dir / TABLE_FILES[DIAGNOSIS]
     diagnoses = load_diagnoses(diag_path, report) if diag_path.exists() else {}
     return Dataset(metas={m.stay_id: m for m in metas}, table=table, record_counts=record_counts,

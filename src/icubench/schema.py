@@ -73,6 +73,26 @@ DEFAULT_NORMAL_VALUES: dict[str, float] = {
     "Age": 62.0,                 # years
 }
 
+# Valid ranges, inclusive, in the units above; ingestion reads a value outside
+# its range as unobserved.  Modelled on the per-variable outlier bounds of the
+# MIMIC-III benchmark (Harutyunyan et al., arXiv:1703.07771).  FiO2 is charted
+# both as a fraction and as a percent, so its range spans both.
+VALID_RANGES: dict[str, tuple[float, float]] = {
+    "Heart rate": (0.0, 390.0),
+    "Mean arterial pressure": (0.0, 375.0),
+    "Diastolic blood pressure": (0.0, 375.0),
+    "Systolic blood pressure": (0.0, 375.0),
+    "O2": (0.0, 100.0),
+    "Respiratory rate": (0.0, 330.0),
+    "Temperature": (14.2, 47.0),
+    "Glucose": (0.0, 2200.0),
+    "FiO2": (0.2, 100.0),
+    "pH": (6.3, 10.0),
+    "Height": (0.0, 275.0),
+    "Weight": (0.0, 550.0),
+    "Age": (0.0, 130.0),
+}
+
 #: Stays longer than this are truncated when gridding (configurable).
 DEFAULT_MAX_GRID_HOURS = 500
 

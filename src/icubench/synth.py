@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ConfigError
 from .ingestion import DIAGNOSIS, LAB, NURSECHARTING, PATIENT, TABLE_COLUMNS, TABLE_FILES
 from .phenotypes import N_PHENOTYPES, PhenotypeCatalog
+from .schema import DEFAULT_NORMAL_VALUES
 
 VITAL_VARIABLES = (
     "Heart rate",
@@ -45,11 +46,6 @@ GCS_VARIABLES = (
     "Glasgow Coma Score Verbal",
 )
 
-_CENTER = {
-    "Heart rate": 86.0, "Mean arterial pressure": 77.0, "Diastolic blood pressure": 59.0,
-    "Systolic blood pressure": 118.0, "O2": 98.0, "Respiratory rate": 19.0, "Temperature": 37.0,
-    "Glucose": 128.0, "FiO2": 21.0, "pH": 7.4, "Height": 170.0, "Weight": 81.0,
-}
 _SPREAD = {
     "Heart rate": 12.0, "Mean arterial pressure": 10.0, "Diastolic blood pressure": 8.0,
     "Systolic blood pressure": 14.0, "O2": 1.8, "Respiratory rate": 3.2, "Temperature": 0.45,
@@ -235,7 +231,7 @@ def _generate_stay(cfg: SynthConfig, rows: dict[str, list[list[str]]], rng, stay
             + _PATTERN_SHIFT.get(name, 0.0) * pattern
             + _RAMP_SHIFT.get(name, 0.0) * ramp
         ) * sigma
-        series = np.clip(_CENTER[name] + _ar1(rng, n_hours, sigma) + shift, *_RANGE[name])
+        series = np.clip(DEFAULT_NORMAL_VALUES[name] + _ar1(rng, n_hours, sigma) + shift, *_RANGE[name])
         is_lab = name in LAB_VARIABLES
         keep = rng.random(n_hours) >= miss[name]
         minutes = rng.integers(0, 60, size=n_hours)
@@ -257,7 +253,7 @@ def _generate_stay(cfg: SynthConfig, rows: dict[str, list[list[str]]], rng, stay
 
     for name in STATIC_VARIABLES:
         if rng.random() >= miss[name]:
-            value = float(np.clip(rng.normal(_CENTER[name], _SPREAD[name]), *_RANGE[name]))
+            value = float(np.clip(rng.normal(DEFAULT_NORMAL_VALUES[name], _SPREAD[name]), *_RANGE[name]))
             measurement_rows.append(
                 (NURSECHARTING, [str(stay_id), str(int(rng.integers(0, 30))), name, _fmt(name, value)])
             )

@@ -21,10 +21,11 @@ def try_parse(value: str):
     return v if math.isfinite(v) else None
 
 
-def ref_bin_numeric(entries: list[str]):
-    """The stated bin rule: last entry wins if parseable, else mean of the
-    parseable ones, else no value."""
+def ref_bin_numeric(entries: list[str], low: float, high: float):
+    """The stated bin rule: last entry wins if parseable and within
+    [low, high], else mean of the entries that are, else no value."""
     parsed = [try_parse(e) for e in entries]
+    parsed = [p if p is not None and low <= p <= high else None for p in parsed]
     if parsed and parsed[-1] is not None:
         return parsed[-1]
     earlier = [p for p in parsed if p is not None]
@@ -33,10 +34,12 @@ def ref_bin_numeric(entries: list[str]):
     return None
 
 
-def ref_bin(records, n_hours: int, numeric_names, categorical_names):
+def ref_bin(records, n_hours: int, valid_ranges, categorical_names):
     """Reference binning over (variable, offset, value) triples sorted by offset.
 
-    Returns ({(hour, name): value}, {(hour, name): category}) dicts with only
+    ``valid_ranges`` maps each numerical variable to its inclusive (low,
+    high) range; a value outside it counts as unparseable.  Returns
+    ({(hour, name): value}, {(hour, name): category}) dicts with only
     observed cells present.
     """
     per_bin: dict[tuple[int, str], list[str]] = {}
@@ -47,13 +50,13 @@ def ref_bin(records, n_hours: int, numeric_names, categorical_names):
         hour = offset // 60
         if hour >= n_hours:
             continue
-        if variable in numeric_names:
+        if variable in valid_ranges:
             per_bin.setdefault((hour, variable), []).append(value)
         elif variable in categorical_names and value.strip():
             cat_last[(hour, variable)] = value.strip()
     numeric = {}
     for key, entries in per_bin.items():
-        value = ref_bin_numeric(entries)
+        value = ref_bin_numeric(entries, *valid_ranges[key[1]])
         if value is not None:
             numeric[key] = value
     return numeric, cat_last

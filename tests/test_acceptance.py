@@ -29,12 +29,13 @@ from icubench.evaluation import (
     t_test,
 )
 from icubench.experiment import ExperimentConfig, report_json, run_experiment
-from icubench.ingestion import load_dataset, stay_table
+from icubench.ingestion import LAB, load_dataset, stay_table
 from icubench.neural import bce_loss, build_model, grad_check
 from icubench.preprocessing import bin_hourly, build_stay_grid, build_vocabs, encode_categoricals
 from icubench.schema import (
     CATEGORICAL_VARIABLES,
     NUMERICAL_VARIABLES,
+    VALID_RANGES,
     DischargeStatus,
     StayMeta,
     Task,
@@ -164,9 +165,9 @@ def test_criterion_5_preprocessing_completeness(tmp_path):
                 if var != "Glasgow Coma Score Total" else str(rng.integers(3, 16))
             triples.append((var, offset, value))
         triples.sort(key=lambda t: t[1])
-        table, _ = stay_table([], [(1, v, o, val) for v, o, val in triples])
+        table, _ = stay_table([], {LAB: [(1, o, v, val) for v, o, val in triples]})
         grid = bin_hourly(table, n_hours)
-        ref_num, ref_cat = ref_bin(triples, n_hours, set(NUMERICAL_VARIABLES), set(CATEGORICAL_VARIABLES))
+        ref_num, ref_cat = ref_bin(triples, n_hours, VALID_RANGES, set(CATEGORICAL_VARIABLES))
         for (hour, name), value in ref_num.items():
             bin_ok &= abs(grid.numeric[hour, num_index[name]] - value) < 1e-12
         bin_ok &= int((~np.isnan(grid.numeric)).sum()) == len(ref_num)   # the observed mask
@@ -182,14 +183,14 @@ def test_criterion_6_schedule_law():
         meta = StayMeta(stay_id=1, patient_id=1, age=50.0, gender="Female", ethnicity="Other",
                         admission_diagnosis="Sepsis", hospital_discharge_status=DischargeStatus.ALIVE,
                         unit_discharge_offset_minutes=hours * 60)
-        grid = build_stay_grid(meta, stay_table([meta], [])[0], NORMALS)
+        grid = build_stay_grid(meta, stay_table([meta], {})[0], NORMALS)
         for inst in build_los_instances({1: grid}, {1: meta}):
             law_ok &= inst.end - inst.start == 12 and (inst.end - 12) % 6 == 0 and inst.end < hours
 
     meta30 = StayMeta(stay_id=2, patient_id=2, age=50.0, gender="Female", ethnicity="Other",
                       admission_diagnosis="Sepsis", hospital_discharge_status=DischargeStatus.ALIVE,
                       unit_discharge_offset_minutes=30 * 60)
-    insts = build_los_instances({2: build_stay_grid(meta30, stay_table([meta30], [])[0], NORMALS)}, {2: meta30})
+    insts = build_los_instances({2: build_stay_grid(meta30, stay_table([meta30], {})[0], NORMALS)}, {2: meta30})
     points = [i.end for i in insts]
     labels = [i.label for i in insts]
     example_ok = points == [12, 18, 24] and np.allclose(labels, [0.75, 0.50, 0.25])

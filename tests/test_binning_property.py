@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import ref_bin
-from icubench.ingestion import stay_table
+from icubench.ingestion import LAB, stay_table
 from icubench.preprocessing import bin_hourly
-from icubench.schema import CATEGORICAL_VARIABLES, NUMERICAL_VARIABLES, VARIABLE_INDEX
+from icubench.schema import CATEGORICAL_VARIABLES, NUMERICAL_VARIABLES, VALID_RANGES
 NUM_INDEX = {name: i for i, name in enumerate(NUMERICAL_VARIABLES)}
 CAT_INDEX = {name: i for i, name in enumerate(CATEGORICAL_VARIABLES)}
 
@@ -51,10 +51,9 @@ def record_lists(draw):
 @given(record_lists())
 def test_bin_hourly_equals_reference(case):
     n_hours, triples = case
-    # load_records drops labels outside the schema before rows reach stay_table
-    table, _ = stay_table([], [(1, v, o, val) for v, o, val in triples if v in VARIABLE_INDEX])
+    table, _ = stay_table([], {LAB: [(1, o, v, val) for v, o, val in triples]})
     grid = bin_hourly(table, n_hours)
-    ref_num, ref_cat = ref_bin(triples, n_hours, set(NUMERICAL_VARIABLES), set(CATEGORICAL_VARIABLES))
+    ref_num, ref_cat = ref_bin(triples, n_hours, VALID_RANGES, set(CATEGORICAL_VARIABLES))
 
     expected = np.full((n_hours, len(NUMERICAL_VARIABLES)), np.nan)
     for (hour, name), value in ref_num.items():

@@ -1,9 +1,15 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
 from icubench.cli import main
+from icubench.ingestion import TABLE_FILES, load_dataset
 from icubench.synth import SynthConfig, generate
+
+#: Cell contents that sit on the edge of what int() and float() accept.
+EDGE_TOKENS = ("", "nan", "inf", "1e400", "5e-324", "9" * 25, "-" + "9" * 25, "> 89", "1_000", "0x10", "Größe µ°")
 
 
 class TestSynthCommand:
@@ -103,6 +109,44 @@ class TestBadInput:
         cfg.write_text(f"task=los\ndata_dir={tmp_path}\nnormal_values_file={normals}\n", encoding="utf-8")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert str(normals) in capsys.readouterr().err
+
+
+class TestEdgeTokenFuzz:
+    """Edge tokens in cells of all four tables: a run ends with exit 0 or 3, and every row is counted once."""
+
+    @pytest.fixture(scope="class", params=[1, 2, 3])
+    def fuzzed_dump(self, request, tmp_path_factory):
+        dump = tmp_path_factory.mktemp("fuzz") / "d"
+        generate(SynthConfig(n_patients=40, seed=2, hours_range=(24, 60), signal_strength=1.5), dump)
+        rng = np.random.default_rng(request.param)
+        for table, name in TABLE_FILES.items():
+            with open(dump / name, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            for token in EDGE_TOKENS:
+                # each token once per column of the row tables, once in a random cell of the patient table
+                columns = [int(rng.integers(len(header)))] if table == "patient" else range(len(header))
+                for column in columns:
+                    rows[int(rng.integers(len(rows)))][column] = token
+            if table == "lab":
+                rows[4][3] = "9" * 25   # a Glucose value that used to overflow float32 training
+            with open(dump / name, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        return dump
+
+    def test_every_row_is_counted_once(self, fuzzed_dump):
+        report = load_dataset(fuzzed_dump).report
+        assert set(report.rows_read) == set(TABLE_FILES)
+        for table, read in report.rows_read.items():
+            kept = report.rows_kept.get(table, 0)
+            assert read == kept + report.rows_unmapped_variable.get(table, 0) + report.rows_malformed.get(table, 0)
+            assert report.rows_out_of_range.get(table, 0) <= kept
+        assert report.rows_out_of_range["lab"] and report.rows_out_of_range["nursecharting"]
+
+    @pytest.mark.parametrize("task, model", [("mortality24", "lr"), ("decompensation", "lr"), ("los", "ann"),
+                                             ("phenotyping", "lr")])
+    def test_run_exits_0_or_3(self, fuzzed_dump, tmp_path, task, model):
+        assert main(["run", "--task", task, "--model", model, "--data-dir", str(fuzzed_dump),
+                     "--folds", "2", "--epochs", "1", "--out", str(tmp_path / "o")]) in (0, 3)
 
 
 class TestRunCommand:

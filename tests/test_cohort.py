@@ -34,7 +34,7 @@ def meta(stay_id, *, age=40.0, hours=72, status=DischargeStatus.ALIVE, death_hou
 
 
 def grid_for(m):
-    return build_stay_grid(m, stay_table([m], [])[0], NORMALS)
+    return build_stay_grid(m, stay_table([m], {})[0], NORMALS)
 
 
 class TestBaseCohort:

@@ -81,6 +81,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(task="mortality48", max_hours=40)
 
+    @pytest.mark.parametrize("key, raw", [("learning_rate", "nan"), ("learning_rate", "inf"),
+                                          ("learning_rate", "-0.1"), ("embed_dim_cap", "0"),
+                                          ("embed_dim_cap", "-3")])
+    def test_invalid_numbers(self, key, raw):
+        # unchecked, nan and inf give null metrics, -0.1 gradient ascent, and 0 or -3 a crash (exit 4)
+        with pytest.raises(ConfigError, match=key):
+            config_from_sources({"task": "los", key: raw})
+
     def test_variable_subsets(self):
         cfg = ExperimentConfig(task="los", variables="numerical_only")
         assert cfg.use_numeric and not cfg.use_categorical

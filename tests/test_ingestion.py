@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -9,14 +10,15 @@ from icubench.ingestion import (
     TABLE_COLUMNS,
     TABLE_FILES,
     IngestionReport,
+    _table_rows,
     load_dataset,
     load_diagnoses,
-    load_records,
     load_stay_meta,
     parse_patient_id,
+    stay_table,
 )
 from icubench.preprocessing import build_stay_grid
-from icubench.schema import CATEGORICAL_VARIABLES, NUMERICAL_VARIABLES, DischargeStatus, normal_values
+from icubench.schema import CATEGORICAL_VARIABLES, NUMERICAL_VARIABLES, VARIABLES, DischargeStatus, normal_values
 
 PATIENT_HEADER = ("patientunitstayid,uniquepid,age,gender,ethnicity,apacheadmissiondx,"
                   "hospitaldischargestatus,unitdischargeoffset,hospitaldischargeoffset")
@@ -25,6 +27,17 @@ PATIENT_HEADER = ("patientunitstayid,uniquepid,age,gender,ethnicity,apacheadmiss
 def write(path: Path, lines) -> Path:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def measurements(path: Path, table: str, report: IngestionReport | None = None) -> list[tuple]:
+    """One measurement table read as load_dataset reads it, as (stay, variable, offset, value) rows.
+
+    The value is None where the table holds NaN (not parseable or out of range).
+    """
+    report = report if report is not None else IngestionReport()
+    rows, _ = stay_table([], {table: _table_rows(path, table, report)}, report)
+    return list(zip(rows.stay.tolist(), [VARIABLES[j] for j in rows.variable.tolist()], rows.offset.tolist(),
+                    [None if math.isnan(x) else x for x in rows.value.tolist()]))
 
 
 @pytest.fixture
@@ -86,14 +99,14 @@ class TestRecords:
             "8,10,glucose,140",
         ])
         report = IngestionReport()
-        assert list(load_records(path, "lab", report)) == [
-            (7, "pH", 95, "7.31"),
-            (8, "Glucose", 10, "140"),
+        assert measurements(path, "lab", report) == [
+            (7, "pH", 95, 7.31),
+            (8, "Glucose", 10, 140.0),
         ]
         assert report.rows_unmapped_variable["lab"] == 1
 
     def test_every_label_maps_into_the_schema(self):
-        # why load_records needs no schema filter: a mapped label is always a schema variable
+        # why stay_table needs no schema filter: a mapped label is always a schema variable
         assert set(DEFAULT_VARIABLE_MAP.values()) <= set(NUMERICAL_VARIABLES + CATEGORICAL_VARIABLES)
 
     def test_stream_length_matches_line_count(self, small_dump):
@@ -107,12 +120,12 @@ class TestRecords:
                 label = line.split(",")[name_col]
                 if DEFAULT_VARIABLE_MAP.get(label) in NUMERICAL_VARIABLES + CATEGORICAL_VARIABLES:
                     mapped += 1
-        records = list(load_records(path, "nursecharting"))
+        records = measurements(path, "nursecharting")
         assert len(records) == mapped
 
     def test_idempotent(self, small_dump):
         path = small_dump / TABLE_FILES["lab"]
-        assert list(load_records(path, "lab")) == list(load_records(path, "lab"))
+        assert measurements(path, "lab") == measurements(path, "lab")
 
     def test_bounded_memory_streaming(self, tmp_path):
         path = tmp_path / "lab.csv"
@@ -122,7 +135,7 @@ class TestRecords:
                 fh.write(f"{i % 500},{i},pH,7.{i % 90:02d}\n")
         assert path.stat().st_size > 4_000_000
         tracemalloc.start()
-        count = sum(1 for _ in load_records(path, "lab"))
+        count = sum(1 for _ in _table_rows(path, "lab", IngestionReport()))
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert count == 250_000
@@ -204,7 +217,7 @@ class TestReport:
                     ["patientunitstayid,labresultoffset,labname,labresult", "7,95,pH,7.31", "7,96"])
         diagnosis = write(tmp_path / "diagnosis.csv", ["patientunitstayid,icd9code", "7,038.9", "9"])
         assert len(load_stay_meta(patient, report)) == 1
-        assert len(list(load_records(lab, "lab", report))) == 1
+        assert len(measurements(lab, "lab", report)) == 1
         assert list(load_diagnoses(diagnosis, report)) == [7]
         assert report.rows_malformed == {"patient": 1, "lab": 1, "diagnosis": 1}
 
@@ -215,7 +228,7 @@ class TestReport:
         lab = write(tmp_path / "lab.csv", ["patientunitstayid,labresultoffset,labname,labresult", "7,95,pH,7,31"])
         diagnosis = write(tmp_path / "diagnosis.csv", ["patientunitstayid,icd9code", "7,038.9,995.91"])
         assert load_stay_meta(patient, report) == []
-        assert list(load_records(lab, "lab", report)) == []
+        assert measurements(lab, "lab", report) == []
         assert load_diagnoses(diagnosis, report) == {}
         assert report.rows_malformed == {"patient": 1, "lab": 1, "diagnosis": 1}
         assert report.rows_read == {"patient": 1, "lab": 1, "diagnosis": 1}
@@ -228,14 +241,31 @@ class TestReport:
         lab = write(tmp_path / "lab.csv", ["patientunitstayid,labresultoffset,labname,labresult",
                                            f"{2**63},95,pH,7.31", f"7,{-2**63 - 1},pH,7.3", f"7,{2**63 - 1},pH,7.3"])
         assert load_stay_meta(patient, report) == []
-        assert list(load_records(lab, "lab", report)) == [(7, "pH", 2**63 - 1, "7.3")]
+        assert measurements(lab, "lab", report) == [(7, "pH", 2**63 - 1, 7.3)]
         assert report.rows_malformed == {"patient": 1, "lab": 2}
+
+    def test_values_outside_their_range_are_kept_as_nan(self, tmp_path):
+        # FiO2 passes as a fraction and as a percent; inf does not parse, so it is not counted as out of range
+        dump = write_dump(
+            tmp_path / "d",
+            ["7,1001,200,Female,Caucasian,Sepsis,Alive,120,", "8,1002,inf,Male,Other,CHF,Alive,120,"],
+            lab_rows=["7,1,FiO2,0.5", "7,2,FiO2,50", "7,3,FiO2,101", "7,4,Glucose,9999999999999999999999999",
+                      "7,5,pH,5e-324", "7,6,pH,inf", "7,7,GCS Total,1e99"],
+            nursecharting_rows=["7,8,Heart rate,-1", "7,9,Heart rate,80"],
+        )
+        dataset = load_dataset(dump)
+        rows = dataset.table.rows(7)
+        values = [None if math.isnan(x) else x for x in rows.value.tolist()]
+        assert values == [None, None, None, None, 0.5, 50.0, None, None, None, None, 1e99, None, 80.0]
+        assert dataset.report.rows_out_of_range == {"patient": 1, "lab": 3, "nursecharting": 1}
+        assert dataset.report.rows_kept == {"patient": 2, "lab": 7, "nursecharting": 2}
+        assert "out_of_range=3 " in dataset.report.render()
 
     def test_blank_lines_skipped_uncounted(self, tmp_path):
         report = IngestionReport()
         lab = write(tmp_path / "lab.csv",
                     ["patientunitstayid,labresultoffset,labname,labresult", "", "7,95,pH,7.31", "", "", "7,96,pH,7.3"])
-        assert len(list(load_records(lab, "lab", report))) == 2
+        assert len(measurements(lab, "lab", report)) == 2
         assert report.rows_read == {"lab": 2} and report.rows_kept == {"lab": 2}
         assert report.rows_malformed == {} and report.messages == []
 
@@ -245,7 +275,7 @@ class TestReport:
         lab = write(tmp_path / "lab.csv", ["patientunitstayid,labresultoffset,labname,labresult"])
         diagnosis = write(tmp_path / "diagnosis.csv", ["patientunitstayid,icd9code"])
         assert load_stay_meta(patient, report) == []
-        assert list(load_records(lab, "lab", report)) == []
+        assert measurements(lab, "lab", report) == []
         assert load_diagnoses(diagnosis, report) == {}
         assert report == IngestionReport()
         assert report.render() == "ingestion report\n================\n"

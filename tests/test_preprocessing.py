@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _reference import ref_bin
-from icubench.ingestion import stay_table
+from icubench.ingestion import LAB, stay_table
 from icubench.preprocessing import (
     bin_hourly,
     build_stay_grid,
@@ -17,6 +17,7 @@ from icubench.schema import (
     CATEGORICAL_VARIABLES,
     NUMERICAL_VARIABLES,
     UNKNOWN,
+    VALID_RANGES,
     VARIABLES,
     DischargeStatus,
     StayMeta,
@@ -31,7 +32,7 @@ CAT_INDEX = {name: i for i, name in enumerate(CATEGORICAL_VARIABLES)}
 
 def rows(*triples, stay=1):
     """One stay's (variable, offset, value) triples as StayTable columns, parsed as load_dataset parses."""
-    table, _ = stay_table([], [(stay, v, o, x) for v, o, x in triples])
+    table, _ = stay_table([], {LAB: [(stay, o, v, x) for v, o, x in triples]})
     return table
 
 
@@ -90,7 +91,7 @@ class TestBinning:
             triples.sort(key=lambda t: t[1])
             table = rows(*triples)
             grid = bin_hourly(table, n_hours)
-            ref_num, ref_cat = ref_bin(triples, n_hours, set(NUMERICAL_VARIABLES), set(CATEGORICAL_VARIABLES))
+            ref_num, ref_cat = ref_bin(triples, n_hours, VALID_RANGES, set(CATEGORICAL_VARIABLES))
             for (hour, name), value in ref_num.items():
                 assert grid.numeric[hour, NUM_INDEX[name]] == pytest.approx(value, abs=1e-12)
             observed = {(h, n) for (h, n) in ref_num}
@@ -104,13 +105,13 @@ class TestBinning:
     def test_unparseable_age_row_falls_back_to_patient_age(self):
         # the patient table's age is an offset-0 row ahead of the file's rows at offset 0
         meta = _meta(1)
-        table, _ = stay_table([meta], [(1, "Age", 0, "not a number")])
+        table, _ = stay_table([meta], {LAB: [(1, 0, "Age", "not a number")]})
         grid = build_stay_grid(meta, table.rows(1), NORMALS)
         assert grid.numeric[0, NUM_INDEX["Age"]] == 50.0
 
     def test_parseable_age_row_in_hour_zero_wins(self):
         meta = _meta(1)
-        table, _ = stay_table([meta], [(1, "Age", 0, "77")])
+        table, _ = stay_table([meta], {LAB: [(1, 0, "Age", "77")]})
         grid = build_stay_grid(meta, table.rows(1), NORMALS)
         assert list(grid.numeric[:, NUM_INDEX["Age"]]) == [77.0] * 3
 
@@ -145,14 +146,14 @@ class TestImpute:
     def test_explicit_unknown_is_an_observation(self):
         # an "unknown" row stops carry-forward of the patient table's gender
         meta = _meta(1, hours=4)
-        table, _ = stay_table([meta], [(1, "Gender", 125, " unknown ")])
+        table, _ = stay_table([meta], {LAB: [(1, 125, "Gender", " unknown ")]})
         grid = build_stay_grid(meta, table.rows(1), NORMALS)
         assert labels(grid, table, "Gender") == ["Female", "Female", UNKNOWN, UNKNOWN]
 
 
 class TestVocabs:
     def test_gender_vocab(self):
-        table, _ = stay_table([_meta(1, gender="Female"), _meta(2, gender="Male")], [])
+        table, _ = stay_table([_meta(1, gender="Female"), _meta(2, gender="Male")], {})
         vocabs = build_vocabs(table, [1, 2])
         assert vocabs.values["Gender"] == (UNKNOWN, "Female", "Male")
         assert vocabs.source_stays == {1, 2}
@@ -166,7 +167,7 @@ class TestVocabs:
         assert vocabs.values["Glasgow Coma Score Total"] == (UNKNOWN, "3", "9", "10")
 
     def test_unseen_values_encode_to_unknown_index(self):
-        table, _ = stay_table([], [(1, "Gender", 0, "Female"), (2, "Gender", 0, "Male")])
+        table, _ = stay_table([], {LAB: [(1, 0, "Gender", "Female"), (2, 0, "Gender", "Male")]})
         vocabs = build_vocabs(table, [1])
         grid = impute(bin_hourly(table.rows(2), 2), NORMALS)
         encoded = encode_categoricals(grid, vocabs)
@@ -175,7 +176,7 @@ class TestVocabs:
 
     def test_leak_freedom_by_construction(self):
         test_only_value = "Nonbinary"
-        table, _ = stay_table([], [(1, "Gender", 0, "Female"), (2, "Gender", 0, test_only_value)])
+        table, _ = stay_table([], {LAB: [(1, 0, "Gender", "Female"), (2, 0, "Gender", test_only_value)]})
         vocabs = build_vocabs(table, [1])
         assert test_only_value not in vocabs.values["Gender"]
         assert vocabs.source_stays == {1}
@@ -238,13 +239,13 @@ def _meta(stay_id, gender="Female", hours=3):
 
 class TestMetaRecords:
     def test_demographics_become_offset_zero_records(self):
-        table, counts = stay_table([_meta(3)], [])
+        table, counts = stay_table([_meta(3)], {})
         assert {VARIABLES[j] for j in table.variable.tolist()} == {"Age", "Admission diagnosis", "Ethnicity", "Gender"}
         assert not table.offset.any()
         assert counts == {}  # the base cohort's record rule counts file rows only
 
     def test_grid_has_constant_demographics(self):
-        table, _ = stay_table([_meta(3, hours=5)], [])
+        table, _ = stay_table([_meta(3, hours=5)], {})
         grid = build_stay_grid(_meta(3, hours=5), table.rows(3), NORMALS)
         assert np.all(grid.numeric[:, NUM_INDEX["Age"]] == 50.0)
         assert labels(grid, table, "Gender") == ["Female"] * 5

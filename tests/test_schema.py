@@ -9,7 +9,9 @@ from icubench.phenotypes import PHENOTYPE_CATEGORIES, PhenotypeCatalog
 from icubench.schema import (
     CATEGORICAL_VARIABLES,
     DEFAULT_NORMAL_VALUES,
+    MASKED_AGE_SENTINEL,
     NUMERICAL_VARIABLES,
+    VALID_RANGES,
     VARIABLES,
     DischargeStatus,
     StayMeta,
@@ -19,6 +21,7 @@ from icubench.schema import (
     parse_age,
     read_normal_values,
 )
+from icubench.synth import _RANGE as SYNTH_RANGE
 
 
 class TestCanonicalSchema:
@@ -35,6 +38,17 @@ class TestCanonicalSchema:
 
     def test_stable_across_calls(self):
         assert np.array_equal(normal_values(), normal_values())
+
+    def test_valid_ranges_contain_every_value_the_pipeline_expects(self):
+        assert tuple(VALID_RANGES) == NUMERICAL_VARIABLES
+        for name, (low, high) in VALID_RANGES.items():
+            assert low <= DEFAULT_NORMAL_VALUES[name] <= high, name
+        for name, (synth_low, synth_high) in SYNTH_RANGE.items():
+            assert VALID_RANGES[name][0] <= synth_low and synth_high <= VALID_RANGES[name][1], name
+        low, high = VALID_RANGES["Age"]
+        assert low <= 16 and MASKED_AGE_SENTINEL == 90 <= high
+        low, high = VALID_RANGES["FiO2"]
+        assert all(low <= fio2 <= high for fio2 in (0.21, 0.5, 1.0, 21, 50, 100))   # fraction and percent
 
     def test_normal_values_finite(self):
         normals = normal_values()
