@@ -11,19 +11,18 @@ import json
 import sys
 from pathlib import Path
 
-from .cohort import select_base_cohort
 from .errors import ConfigError, DataError, IcubenchError, SchemaError
 from .experiment import (
     ENCODING_CHOICES,
     MODEL_CHOICES,
     TASK_CHOICES,
     VARIABLE_CHOICES,
+    base_cohort,
     compare,
     config_from_sources,
     parse_config_file,
     render_comparison,
     run_experiment,
-    summarize_cohort,
     write_audit_files,
     write_reports,
 )
@@ -96,17 +95,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_cohort(args) -> int:
-    dataset = load_dataset(args.data_dir)
-    report = select_base_cohort(list(dataset.metas.values()), dataset.record_counts)
-    ingest_text = dataset.report.render()
-    cohort_text = report.render()
-    demographics_text = summarize_cohort({sid: dataset.metas[sid] for sid in report.included})
+    _, audit = base_cohort(load_dataset(args.data_dir))
     if args.out:
         out = Path(args.out)
-        write_audit_files(out, ingest_text, cohort_text, demographics_text)
+        write_audit_files(out, *audit)
         print(f"wrote audit files to {out}")
     else:
-        print(ingest_text + "\n" + cohort_text + "\n" + demographics_text, end="")
+        print("\n".join(audit), end="")
     return EXIT_OK
 
 

@@ -29,6 +29,9 @@ from .errors import UndefinedMetricError
 
 TARGET_SENSITIVITY = 0.90
 
+#: The keys of classification_metrics, which every binary and phenotyping report fold carries.
+CLASSIFICATION_KEYS = ("auroc", "auprc", "specificity_at_sens90", "sensitivity", "ppv", "npv")
+
 
 def _as_binary(scores, labels):
     scores = np.asarray(scores, dtype=np.float64)
@@ -88,8 +91,8 @@ class OperatingPoint:
     npv: float
 
 
-def operating_point(scores, labels, target_sens: float = TARGET_SENSITIVITY) -> OperatingPoint:
-    """Largest threshold with sensitivity >= target (score >= threshold is positive)."""
+def operating_point(scores, labels) -> OperatingPoint:
+    """Largest threshold with sensitivity >= TARGET_SENSITIVITY (score >= threshold is positive)."""
     scores, labels = _as_binary(scores, labels)
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
@@ -97,7 +100,7 @@ def operating_point(scores, labels, target_sens: float = TARGET_SENSITIVITY) -> 
         raise UndefinedMetricError("operating point needs both classes present")
     cutoffs, tp, fp = _ranked_confusion(scores, labels)
     sens = tp / n_pos
-    k = int(np.argmax(sens >= target_sens))  # sens is nondecreasing along cutoffs
+    k = int(np.argmax(sens >= TARGET_SENSITIVITY))  # sens is nondecreasing along cutoffs
     tn = n_neg - fp[k]
     fn = n_pos - tp[k]
     ppv = tp[k] / (tp[k] + fp[k]) if tp[k] + fp[k] > 0 else math.nan
@@ -111,48 +114,21 @@ def operating_point(scores, labels, target_sens: float = TARGET_SENSITIVITY) -> 
     )
 
 
-@dataclass(frozen=True)
-class ClassificationMetrics:
-    auroc: float
-    auprc: float
-    specificity_at_sens90: float
-    ppv: float
-    npv: float
-    sensitivity: float = TARGET_SENSITIVITY
-
-    def to_dict(self) -> dict:
-        return {
-            "auroc": self.auroc,
-            "auprc": self.auprc,
-            "specificity_at_sens90": self.specificity_at_sens90,
-            "sensitivity": self.sensitivity,
-            "ppv": self.ppv,
-            "npv": self.npv,
-        }
-
-
-@dataclass(frozen=True)
-class RegressionMetrics:
-    r2: float | None
-    mae: float
-
-    def to_dict(self) -> dict:
-        return {"r2": self.r2, "mae": self.mae}
-
-
-def classification_metrics(scores, labels) -> ClassificationMetrics:
+def classification_metrics(scores, labels) -> dict[str, float]:
+    """The binary metrics of one report fold, keyed in CLASSIFICATION_KEYS order."""
     point = operating_point(scores, labels)
-    return ClassificationMetrics(
-        auroc=auroc(scores, labels),
-        auprc=auprc(scores, labels),
-        specificity_at_sens90=point.specificity,
-        ppv=point.ppv,
-        npv=point.npv,
-    )
+    return {
+        "auroc": auroc(scores, labels),
+        "auprc": auprc(scores, labels),
+        "specificity_at_sens90": point.specificity,
+        "sensitivity": TARGET_SENSITIVITY,
+        "ppv": point.ppv,
+        "npv": point.npv,
+    }
 
 
-def regression_metrics(preds, targets) -> RegressionMetrics:
-    """R^2 about the target mean plus MAE in days.
+def regression_metrics(preds, targets) -> dict[str, float | None]:
+    """R^2 about the target mean plus MAE in days, as {"r2": ..., "mae": ...}.
 
     Zero target variance leaves R^2 undefined; MAE is still returned
     (r2 comes back as None in that case).
@@ -164,9 +140,9 @@ def regression_metrics(preds, targets) -> RegressionMetrics:
     mae = float(np.mean(np.abs(preds - targets)))
     ss_tot = float(np.sum((targets - targets.mean()) ** 2))
     if ss_tot == 0.0:
-        return RegressionMetrics(r2=None, mae=mae)
+        return {"r2": None, "mae": mae}
     ss_res = float(np.sum((preds - targets) ** 2))
-    return RegressionMetrics(r2=1.0 - ss_res / ss_tot, mae=mae)
+    return {"r2": 1.0 - ss_res / ss_tot, "mae": mae}
 
 
 def _stirling_tail(x: float) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 from . import cohort as cohort_mod
 from . import evaluation
 from .errors import ConfigError, DataError, IcubenchError
-from .ingestion import TABLE_FILES, load_dataset
+from .ingestion import TABLE_FILES, Dataset, load_dataset
 from .neural import build_model, predict_scores, train_model
 from .neural.checkpoint import save_checkpoint, schema_hash
 from .neural.training import InstanceGroup
@@ -31,6 +31,7 @@ from .phenotypes import PhenotypeCatalog
 from .preprocessing import build_stay_grid, build_vocabs, encode_categoricals, oversample
 from .schema import (
     CATEGORICAL_VARIABLES,
+    DEFAULT_MAX_GRID_HOURS,
     DischargeStatus,
     HourlyGrid,
     Task,
@@ -56,9 +57,6 @@ _BINARY_TASKS = (Task.MORTALITY, Task.DECOMPENSATION)
 #: Config keys report.json leaves out, so same-seed runs match wherever they read and write.
 _PATH_KEYS = ("data_dir", "out_dir")
 
-CLASSIFICATION_KEYS = ("auroc", "auprc", "specificity_at_sens90", "sensitivity", "ppv", "npv")
-REGRESSION_KEYS = ("r2", "mae")
-
 
 @dataclass
 class ExperimentConfig:
@@ -82,7 +80,7 @@ class ExperimentConfig:
     embed_init: str = "random"
     embed_frozen: bool = False
     embed_dim_cap: int = 50
-    max_hours: int = 500
+    max_hours: int = DEFAULT_MAX_GRID_HOURS
     zscore: bool = False
     oversample_train: bool = True
     normal_values_file: str = ""
@@ -219,9 +217,7 @@ class EvalReport:
     warnings: list[str]
     seed: int
     fold_scores: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, repr=False)
-    ingest_text: str = ""
-    cohort_text: str = ""
-    demographics_text: str = ""
+    audit: tuple[str, str, str] = ("", "", "")   # the texts base_cohort returns
     wall_clock_seconds: float = 0.0
 
     def to_dict(self) -> dict:
@@ -322,6 +318,13 @@ def _count_pct(group, predicate) -> str:
     return f"{n} ({100.0 * n / len(group):.1f})"
 
 
+def base_cohort(dataset: Dataset) -> tuple[cohort_mod.CohortReport, tuple[str, str, str]]:
+    """The base cohort of a dump, with its audit texts: ingestion report, cohort rules, demographics."""
+    base = cohort_mod.select_base_cohort(list(dataset.metas.values()), dataset.record_counts)
+    demographics = summarize_cohort({sid: dataset.metas[sid] for sid in base.included})
+    return base, (dataset.report.render(), base.render(), demographics)
+
+
 def _build_instances(cfg: ExperimentConfig, grids, metas, diagnoses, catalog) -> list[TaskInstance]:
     if cfg.task_kind == Task.MORTALITY:
         return cohort_mod.build_mortality_instances(grids, metas, cfg.mortality_horizon)
@@ -337,14 +340,12 @@ def _build_instances(cfg: ExperimentConfig, grids, metas, diagnoses, catalog) ->
 def _fold_metrics(cfg: ExperimentConfig, scores: np.ndarray, labels: np.ndarray) -> tuple[dict, list[str]]:
     warnings: list[str] = []
     if cfg.task_kind == Task.LOS:
-        metrics = dict.fromkeys(REGRESSION_KEYS)
-        reg = evaluation.regression_metrics(scores, labels)
-        metrics.update(reg.to_dict())
-        if reg.r2 is None:
+        metrics = evaluation.regression_metrics(scores, labels)
+        if metrics["r2"] is None:
             warnings.append("r2 undefined (zero target variance)")
         return metrics, warnings
     if cfg.task_kind == Task.PHENOTYPING:
-        per_key = {key: [] for key in CLASSIFICATION_KEYS}
+        per_key = {key: [] for key in evaluation.CLASSIFICATION_KEYS}
         skipped = 0
         for n in range(scores.shape[1]):
             try:
@@ -352,7 +353,7 @@ def _fold_metrics(cfg: ExperimentConfig, scores: np.ndarray, labels: np.ndarray)
             except evaluation.UndefinedMetricError:
                 skipped += 1
                 continue
-            for key, value in m.to_dict().items():
+            for key, value in m.items():
                 if isinstance(value, float) and math.isnan(value):
                     continue
                 per_key[key].append(value)
@@ -360,12 +361,10 @@ def _fold_metrics(cfg: ExperimentConfig, scores: np.ndarray, labels: np.ndarray)
             warnings.append(f"{skipped} phenotype categories single-class in this fold; macro average skips them")
         metrics = {key: (float(np.mean(vals)) if vals else None) for key, vals in per_key.items()}
         return metrics, warnings
-    metrics = dict.fromkeys(CLASSIFICATION_KEYS)
     try:
-        metrics.update(evaluation.classification_metrics(scores, labels).to_dict())
+        return evaluation.classification_metrics(scores, labels), warnings
     except evaluation.UndefinedMetricError as exc:
-        warnings.append(f"classification metrics undefined: {exc}")
-    return metrics, warnings
+        return dict.fromkeys(evaluation.CLASSIFICATION_KEYS), [f"classification metrics undefined: {exc}"]
 
 
 def run_experiment(cfg: ExperimentConfig) -> EvalReport:
@@ -378,7 +377,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
             raise DataError(f"missing input table {data_dir / filename}")
     dataset = load_dataset(data_dir)
 
-    base = cohort_mod.select_base_cohort(list(dataset.metas.values()), dataset.record_counts)
+    base, audit = base_cohort(dataset)
     grids = {
         stay_id: build_stay_grid(dataset.metas[stay_id], dataset.table.rows(stay_id), normals, cfg.max_hours)
         for stay_id in base.included
@@ -417,17 +416,11 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         test_pos = [i for i, inst in enumerate(instances) if inst.stay_id in test_stays]
         _check(bool(train_pos and test_pos), f"fold {fold}: empty train or test side")
 
-        sample_rng = np.random.default_rng((cfg.seed, fold, 0x05))
-        oversampled = False
+        train_list = [instances[p] for p in train_pos]
         if cfg.oversample_train and cfg.task_kind in _BINARY_TASKS:
-            train_instances = [instances[p] for p in train_pos]
-            balanced, warn = oversample(train_instances, sample_rng)
+            train_list, warn = oversample(train_list, np.random.default_rng((cfg.seed, fold, 0x05)))
             if warn:
                 run_warnings.append(f"fold {fold}: {warn}")
-            train_list = balanced
-            oversampled = True
-        else:
-            train_list = [instances[p] for p in train_pos]
 
         zstats = None
         if cfg.zscore and cfg.use_numeric:
@@ -460,13 +453,13 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
             step_size=cfg.learning_rate,
             dropout=cfg.dropout,
         )
-        scores = predict_scores(model, test_groups, len(test_list))
+        scores = predict_scores(model, test_groups)
         labels = np.stack([np.asarray(inst.label, dtype=np.float64) for inst in test_list])
         metrics, fold_warnings = _fold_metrics(cfg, scores, labels)
         fold_results.append({
             "fold": fold,
             "n_train": len(train_list),
-            "n_train_before_oversample": len(train_pos) if oversampled else len(train_list),
+            "n_train_before_oversample": len(train_pos),
             "n_test": len(test_list),
             "metrics": metrics,
             "warnings": fold_warnings,
@@ -493,16 +486,14 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         warnings=run_warnings,
         seed=cfg.seed,
         fold_scores=fold_scores,
-        ingest_text=dataset.report.render(),
-        cohort_text=base.render(),
-        demographics_text=summarize_cohort({sid: dataset.metas[sid] for sid in base.included}),
+        audit=audit,
         wall_clock_seconds=time.perf_counter() - started,
     )
     return report
 
 
-def _zscore_stats(train_instances, grids):
-    chunks = [grids[inst.stay_id].numeric[inst.start:inst.end] for inst in train_instances]
+def _zscore_stats(train_list, grids):
+    chunks = [grids[inst.stay_id].numeric[inst.start:inst.end] for inst in train_list]
     stacked = np.concatenate(chunks, axis=0)
     mean = stacked.mean(axis=0)
     std = stacked.std(axis=0)
@@ -594,7 +585,7 @@ def write_reports(report: EvalReport, out_dir) -> dict[str, Path]:
     paths = {"json": out_dir / "report.json", "text": out_dir / "report.txt"}
     paths["json"].write_text(report_json(report), encoding="utf-8")
     paths["text"].write_text(report_text(report), encoding="utf-8")
-    paths.update(write_audit_files(out_dir, report.ingest_text, report.cohort_text, report.demographics_text))
+    paths.update(write_audit_files(out_dir, *report.audit))
     return paths
 
 

@@ -15,9 +15,13 @@ An empty file or a missing column is a SchemaError.  _table_rows streams
 every table row by row; stay_table turns each lab and nurseCharting row in
 one pass into one columnar StayTable, 29 bytes a row.  A numerical value
 outside its schema.VALID_RANGES entry is kept as NaN (unobserved), like an
-unparseable one, and counted per table as out of range.  Blank lines
-are skipped.  Rows with missing or extra cells (an unquoted comma inside a
-value, for instance) are counted as malformed and skipped; a file that is
+unparseable one, and counted per table as out of range.  An age is read
+like any other value (schema.parse_age): a non-finite age is NaN, so it
+fails the adult rule, and '> 89' reads as 90.  Blank lines are skipped.
+Rows with missing or extra cells (an unquoted comma inside a value, for
+instance), and rows whose stay id or offset is not an integer inside int64
+(one rule for all four tables, the patient table's discharge and death
+offsets included), are counted as malformed and skipped; a file that is
 not UTF-8 or that the CSV parser cannot read (an unterminated quote running
 past the field size limit, for instance), and a record over several lines,
 are data errors.
@@ -43,6 +47,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import DataError, SchemaError
+from .phenotypes import normalize_code
 from .schema import (
     CATEGORICAL_VARIABLES,
     N_NUMERIC,
@@ -116,6 +121,9 @@ _LOW, _HIGH = zip(*(VALID_RANGES[name] for name in NUMERICAL_VARIABLES))
 _AGE = VARIABLE_INDEX["Age"]
 _DEMOGRAPHICS = tuple(VARIABLE_INDEX[name] for name in ("Admission diagnosis", "Ethnicity", "Gender"))
 _STATUS = {status.value: status for status in DischargeStatus}
+
+#: Bounds of every stay id and offset cell, in all four tables: the stay table stores them as int64.
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 #: Messages IngestionReport.render prints before summarizing the rest.
 MAX_MESSAGES = 200
@@ -211,6 +219,14 @@ def _table_rows(path, table: str, report: IngestionReport) -> Iterator[tuple[str
             _add(report.rows_malformed, table, malformed)
 
 
+def _int64(text: str, name: str) -> int:
+    """An id or offset cell as an int; ValueError when it does not parse or is outside int64."""
+    value = int(text)
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ValueError(f"{name} {value} out of range")
+    return value
+
+
 def parse_patient_id(text: str) -> int:
     """Digit ids parse as ints; anything else hashes to a stable 63-bit int."""
     text = text.strip()
@@ -223,10 +239,11 @@ def parse_patient_id(text: str) -> int:
 def load_stay_meta(path, report: IngestionReport | None = None) -> list[StayMeta]:
     """Read the patient table into StayMeta rows.
 
-    Rows with malformed numeric fields (ids, offsets) are skipped and counted
-    in the report; unparseable categorical cells become the reserved
-    "unknown" value instead of failing the row.  A second row for a stay id
-    is counted as malformed too; the first one is kept.
+    Rows whose stay id or offsets are not integers inside int64 are skipped
+    and counted in the report, each with a message; unparseable categorical
+    cells become the reserved "unknown" value instead of failing the row.
+    A second row for a stay id is counted as malformed too; the first one
+    is kept.
     """
     report = report if report is not None else IngestionReport()
     metas: list[StayMeta] = []
@@ -235,16 +252,14 @@ def load_stay_meta(path, report: IngestionReport | None = None) -> list[StayMeta
     rows = _table_rows(path, PATIENT, report)
     for stay, patient, age, gender, ethnicity, diagnosis, status_text, offset_text, death_text in rows:
         try:
-            stay_id = int(stay)
-            if not -2**63 <= stay_id < 2**63:   # stored as int64
-                raise ValueError(f"stay id {stay_id} out of range")
-            offset = int(offset_text)
+            stay_id = _int64(stay, "stay id")
+            offset = _int64(offset_text, "unit discharge offset")
             if offset <= 0:
                 raise ValueError("nonpositive unit discharge offset")
             status = _STATUS.get(status_text.strip().lower(), DischargeStatus.MISSING)
             death_offset = None
             if status == DischargeStatus.EXPIRED and death_text.strip():
-                death_offset = int(death_text)
+                death_offset = _int64(death_text, "death offset")
             if stay_id in seen:
                 malformed += 1
                 report.messages.append(f"duplicate stay id {stay_id}; keeping first occurrence")
@@ -282,11 +297,11 @@ def load_diagnoses(path, report: IngestionReport | None = None) -> dict[int, fro
     kept = malformed = 0
     for stay, cell in _table_rows(path, DIAGNOSIS, report):
         try:
-            stay_id = int(stay)
+            stay_id = _int64(stay, "stay id")
         except ValueError:
             malformed += 1
             continue
-        parsed = [c.strip().upper() for c in cell.split(",") if c.strip()]
+        parsed = [normalize_code(c) for c in cell.split(",") if c.strip()]
         if not parsed:
             malformed += 1
             continue
@@ -309,12 +324,13 @@ def stay_table(metas: Iterable[StayMeta], tables: Mapping[str, Iterable[tuple[st
     """
     report = report if report is not None else IngestionReport()
     ids = {UNKNOWN: 0}
+    lo, hi = _INT64_MIN, _INT64_MAX   # locals: this check runs on every row
     columns = (array("q"), array("q"), array("b"), array("d"), array("i"))
     stay, offset, variable, value, code = (column.append for column in columns)
     for meta in metas:
         if not math.isnan(meta.age):
             in_range = _LOW[_AGE] <= meta.age <= _HIGH[_AGE]
-            _add(report.rows_out_of_range, PATIENT, not in_range and math.isfinite(meta.age))   # inf does not parse
+            _add(report.rows_out_of_range, PATIENT, not in_range)
             stay(meta.stay_id)
             offset(0)
             variable(_AGE)
@@ -338,7 +354,7 @@ def stay_table(metas: Iterable[StayMeta], tables: Mapping[str, Iterable[tuple[st
                 continue
             try:
                 stay_id, minutes = int(stay_text), int(offset_text)
-                if not (-2**63 <= stay_id < 2**63 and -2**63 <= minutes < 2**63):   # stored as int64
+                if not (lo <= stay_id <= hi and lo <= minutes <= hi):
                     raise ValueError
             except ValueError:
                 malformed += 1

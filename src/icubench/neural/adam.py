@@ -8,6 +8,9 @@ import numpy as np
 
 from ..errors import TrainingError
 
+#: Adam's moment decay rates and denominator floor, the defaults of Kingma & Ba.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Standard Adam with bias correction; updates parameters in place."""
@@ -17,16 +20,10 @@ class Adam:
         params: Mapping[str, np.ndarray],
         trainable: Iterable[str] | None = None,
         step_size: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
     ):
         self.params = params
         self.trainable = list(trainable) if trainable is not None else list(params)
         self.step_size = step_size
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(params[k]) for k in self.trainable}
         self.v = {k: np.zeros_like(params[k]) for k in self.trainable}
@@ -40,10 +37,10 @@ class Adam:
                 raise TrainingError(f"non-finite gradient in {name!r}{where}")
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**self.t)
-            v_hat = v / (1.0 - self.beta2**self.t)
-            self.params[name] -= self.step_size * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            m_hat = m / (1.0 - BETA1**self.t)
+            v_hat = v / (1.0 - BETA2**self.t)
+            self.params[name] -= self.step_size * m_hat / (np.sqrt(v_hat) + EPS)

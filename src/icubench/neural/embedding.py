@@ -26,10 +26,10 @@ class EmbeddingTable:
         vocab_sizes: Mapping[str, int],
         dims: Mapping[str, int],
         rng: np.random.Generator,
-        scale: float = 0.1,
         trainable: bool = True,
     ) -> "EmbeddingTable":
-        tables = {name: rng.normal(0.0, scale, size=(size, dims[name])) for name, size in vocab_sizes.items()}
+        """Tables of N(0, 0.1^2) entries."""
+        tables = {name: rng.normal(0.0, 0.1, size=(size, dims[name])) for name, size in vocab_sizes.items()}
         return cls(tables, trainable=trainable)
 
     @classmethod

@@ -57,7 +57,7 @@ def grad_check(model, batch, eps: float = 1e-5, n_coords: int = 200, rng=None) -
     rng = rng if rng is not None else np.random.default_rng(0)
     model = model.astype(np.float64)
     num, cat, labels = batch
-    _, grads, _ = model.loss_and_grads(num, cat, labels)
+    _, grads = model.loss_and_grads(num, cat, labels)
 
     max_rel = 0.0
     n_checked = 0

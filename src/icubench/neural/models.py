@@ -133,7 +133,7 @@ class BaseModel:
 
     def loss_and_grads(self, num, cat, labels, dropout: float = 0.0, dropout_rng=None):
         x = self._assemble(num, cat)
-        rep, cache, preacts = self._core(x)
+        rep, cache, _ = self._core(x)
         mask = None
         if dropout > 0.0 and dropout_rng is not None:
             mask = (dropout_rng.random(rep.shape) >= dropout).astype(rep.dtype) / (1.0 - dropout)
@@ -146,9 +146,7 @@ class BaseModel:
         dx, core_grads = self._core_backward(drep, cache)
         grads.update(core_grads)
         grads.update(self._emb_grads(dx, cat))
-        if self.task == Task.LOS:
-            preacts = preacts + [z[:, 0]]
-        return loss, grads, preacts
+        return loss, grads
 
 
 class LinearModel(BaseModel):

@@ -64,7 +64,7 @@ def train_model(
         total = 0.0
         count = 0
         for bi, (num, cat, labels) in enumerate(make_epoch_batches(groups, batch_size, rng)):
-            loss, grads, _ = model.loss_and_grads(
+            loss, grads = model.loss_and_grads(
                 num, cat, labels, dropout=dropout, dropout_rng=rng if dropout > 0 else None
             )
             opt.step(grads, batch_id=f"epoch {epoch} batch {bi}")
@@ -75,14 +75,14 @@ def train_model(
     return history
 
 
-def predict_scores(model: BaseModel, groups: list[InstanceGroup], n_instances: int) -> np.ndarray:
-    """Scores aligned back to original instance order."""
+def predict_scores(model: BaseModel, groups: list[InstanceGroup]) -> np.ndarray:
+    """Scores aligned back to original instance order; the groups partition that order."""
     width = None
     for group in groups:
         preds = model.predict(group.num, group.cat)
         if width is None:
             width = 1 if preds.ndim == 1 else preds.shape[1]
-            out = np.full((n_instances, width), np.nan)
+            out = np.full((sum(g.size for g in groups), width), np.nan)
         out[group.indices] = preds.reshape(group.size, width)
     if width is None:
         return np.zeros((0,))

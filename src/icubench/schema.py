@@ -151,16 +151,8 @@ def read_normal_values(path) -> np.ndarray:
 
 
 def parse_age(text: str) -> float:
-    """Parse an age cell; masked '> 89' entries collapse to the 90 sentinel."""
-    text = text.strip()
-    if not text:
-        return math.nan
-    if text.startswith(">"):
-        return MASKED_AGE_SENTINEL
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
+    """An age cell read like any value (parse_value); masked '> 89' entries collapse to the 90 sentinel."""
+    return MASKED_AGE_SENTINEL if text.strip().startswith(">") else parse_value(text)
 
 
 def parse_value(text: str) -> float:

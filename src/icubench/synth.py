@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -105,7 +104,7 @@ class SynthConfig:
 
     n_patients: int
     hours_range: tuple[int, int] = (24, 72)
-    missingness: float | Mapping[str, float] = 0.1
+    missingness: float = 0.1
     mortality_rate: float = 0.083
     decomp_rate: float = 0.065
     signal_strength: float = 1.0
@@ -120,7 +119,8 @@ class SynthConfig:
         lo, hi = self.hours_range
         if not (1 <= lo <= hi):
             raise ConfigError("hours_range must satisfy 1 <= min <= max")
-        for name in ("mortality_rate", "decomp_rate", "underage_fraction", "sparse_fraction", "multi_stay_fraction"):
+        for name in ("missingness", "mortality_rate", "decomp_rate", "underage_fraction", "sparse_fraction",
+                     "multi_stay_fraction"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")
@@ -128,15 +128,6 @@ class SynthConfig:
             raise ConfigError("decomp_rate (unit deaths) cannot exceed mortality_rate (hospital deaths)")
         if self.signal_strength < 0:
             raise ConfigError("signal_strength must be >= 0")
-        for m in self._missing_map().values():
-            if not 0.0 <= m <= 1.0:
-                raise ConfigError("missingness probabilities must be in [0, 1]")
-
-    def _missing_map(self) -> dict[str, float]:
-        every = VITAL_VARIABLES + LAB_VARIABLES + STATIC_VARIABLES + GCS_VARIABLES
-        if isinstance(self.missingness, Mapping):
-            return {v: float(self.missingness.get(v, 0.0)) for v in every}
-        return {v: float(self.missingness) for v in every}
 
 
 def _fmt(name: str, value: float) -> str:
@@ -179,7 +170,6 @@ def _sample_gcs(rng, p_low: np.ndarray) -> dict[str, np.ndarray]:
 
 def _generate_stay(cfg: SynthConfig, rows: dict[str, list[list[str]]], rng, stay_id: int, patient_id: str,
                    underage: bool, sparse: bool, force_alive: bool) -> None:
-    miss = cfg._missing_map()
     s = cfg.signal_strength
     n_hours = int(rng.integers(cfg.hours_range[0], cfg.hours_range[1] + 1))
 
@@ -233,7 +223,7 @@ def _generate_stay(cfg: SynthConfig, rows: dict[str, list[list[str]]], rng, stay
         ) * sigma
         series = np.clip(DEFAULT_NORMAL_VALUES[name] + _ar1(rng, n_hours, sigma) + shift, *_RANGE[name])
         is_lab = name in LAB_VARIABLES
-        keep = rng.random(n_hours) >= miss[name]
+        keep = rng.random(n_hours) >= cfg.missingness
         minutes = rng.integers(0, 60, size=n_hours)
         extra_draw = rng.random(n_hours)
         for h in range(n_hours):
@@ -252,7 +242,7 @@ def _generate_stay(cfg: SynthConfig, rows: dict[str, list[list[str]]], rng, stay
             measurement_rows.append((LAB if is_lab else NURSECHARTING, [str(stay_id), str(offset), name, value]))
 
     for name in STATIC_VARIABLES:
-        if rng.random() >= miss[name]:
+        if rng.random() >= cfg.missingness:
             value = float(np.clip(rng.normal(DEFAULT_NORMAL_VALUES[name], _SPREAD[name]), *_RANGE[name]))
             measurement_rows.append(
                 (NURSECHARTING, [str(stay_id), str(int(rng.integers(0, 30))), name, _fmt(name, value)])
@@ -260,7 +250,7 @@ def _generate_stay(cfg: SynthConfig, rows: dict[str, list[list[str]]], rng, stay
 
     p_low = np.clip(0.05 + 0.12 * level + 0.35 * ramp + 0.18 * np.maximum(pattern, 0.0), 0.0, 0.92)
     gcs = _sample_gcs(rng, p_low)
-    gcs_keep = {name: rng.random(n_hours) >= miss[name] for name in GCS_VARIABLES}
+    gcs_keep = {name: rng.random(n_hours) >= cfg.missingness for name in GCS_VARIABLES}
     gcs_minutes = rng.integers(0, 60, size=(len(GCS_VARIABLES), n_hours))
     for gi, name in enumerate(GCS_VARIABLES):
         for h in range(n_hours):

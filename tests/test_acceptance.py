@@ -112,7 +112,7 @@ def test_criterion_3_closed_forms():
     _, hw = aggregate_folds([1.0, 2.0, 3.0, 4.0, 5.0])
     agg_ok = abs(hw - 1.963) <= 1e-3
     targets = np.array([1.0, 2.0, 3.0, 6.0])
-    r2_ok = regression_metrics(np.full(4, targets.mean()), targets).r2 == 0.0
+    r2_ok = regression_metrics(np.full(4, targets.mean()), targets)["r2"] == 0.0
     check(3, "closed-form metric values", auroc_ok and bce_ok and agg_ok and r2_ok,
           f"(ci half-width {hw:.6f})")
 

@@ -176,21 +176,21 @@ class TestOperatingPoint:
 class TestRegression:
     def test_exact_predictions(self):
         m = regression_metrics([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        assert m.r2 == 1.0 and m.mae == 0.0
+        assert m["r2"] == 1.0 and m["mae"] == 0.0
 
     def test_mean_predictor_is_zero(self):
         targets = np.array([1.0, 2.0, 3.0, 6.0])
         m = regression_metrics(np.full(4, targets.mean()), targets)
-        assert m.r2 == 0.0
+        assert m["r2"] == 0.0
 
     def test_worse_than_mean_is_negative(self):
         m = regression_metrics([10.0, -10.0, 10.0], [1.0, 2.0, 3.0])
-        assert m.r2 < 0.0
+        assert m["r2"] < 0.0
 
     def test_zero_variance_returns_mae_only(self):
         m = regression_metrics([1.0, 2.0], [5.0, 5.0])
-        assert m.r2 is None
-        assert m.mae == pytest.approx(3.5)
+        assert m["r2"] is None
+        assert m["mae"] == pytest.approx(3.5)
 
 
 class TestAggregateFolds:
@@ -315,7 +315,6 @@ class TestAggregateMetricDicts:
     def test_full_classification_metrics_shape(self):
         rng = np.random.default_rng(10)
         scores, labels = random_scored_instance(rng, n_max=100)
-        metrics = classification_metrics(scores, labels)
-        d = metrics.to_dict()
+        d = classification_metrics(scores, labels)
         assert set(d) == {"auroc", "auprc", "specificity_at_sens90", "sensitivity", "ppv", "npv"}
         assert d["sensitivity"] == 0.90

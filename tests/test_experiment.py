@@ -140,6 +140,12 @@ class TestRunExperiment:
         for fold in report.fold_results:
             assert fold["n_train"] >= fold["n_train_before_oversample"]
 
+    def test_mortality_without_oversampling(self, small_dump, tmp_path):
+        report = run_experiment(self._cfg(small_dump, tmp_path, task="mortality24", folds=2, oversample_train=False))
+        for fold in report.fold_results:
+            assert fold["n_train"] == fold["n_train_before_oversample"]
+        assert not any("oversampling" in w for w in report.warnings)
+
     def test_write_reports(self, small_dump, tmp_path):
         report = run_experiment(self._cfg(small_dump, tmp_path))
         paths = write_reports(report, tmp_path / "out")

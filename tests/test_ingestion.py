@@ -244,6 +244,23 @@ class TestReport:
         assert measurements(lab, "lab", report) == [(7, "pH", 2**63 - 1, 7.3)]
         assert report.rows_malformed == {"patient": 1, "lab": 2}
 
+    def test_patient_offsets_outside_int64_are_malformed(self, tmp_path):
+        # a 25-digit unit discharge offset would give LoS labels near 7e21 days
+        nines = "9" * 25
+        dump = write_dump(tmp_path / "d", [
+            f"7,1001,50,Female,Caucasian,Sepsis,Alive,{nines},",
+            f"8,1002,45,Male,Hispanic,Trauma,Expired,1500,{nines}",
+            f"9,1003,60,Male,Other,CHF,Expired,{2**63 - 1},{2**63 - 1}",   # 19 digits, inside int64
+        ])
+        dataset = load_dataset(dump)
+        metas, report = dataset.metas, dataset.report
+        assert sorted(metas) == [9]
+        assert metas[9].unit_discharge_offset_minutes == metas[9].death_offset_minutes == 2**63 - 1
+        assert report.rows_malformed["patient"] == 2
+        assert report.rows_read["patient"] == report.rows_kept["patient"] + report.rows_malformed["patient"]
+        assert f"patient row skipped: unit discharge offset {nines} out of range" in report.messages
+        assert f"patient row skipped: death offset {nines} out of range" in report.messages
+
     def test_values_outside_their_range_are_kept_as_nan(self, tmp_path):
         # FiO2 passes as a fraction and as a percent; inf does not parse, so it is not counted as out of range
         dump = write_dump(

@@ -210,7 +210,7 @@ class TestEncodingEquivalence:
         for encoding, expect_emb_grads in (("ohe", False), ("embedding", True)):
             model = build_model("lr", Task.MORTALITY, np.random.default_rng(0), vocab_sizes=VOCABS,
                                 encoding=encoding)
-            _, grads, _ = model.loss_and_grads(num, cat, labels)
+            _, grads = model.loss_and_grads(num, cat, labels)
             assert any(k.startswith("emb/") for k in grads) == expect_emb_grads
 
     def test_categorical_only_width(self):
@@ -255,7 +255,7 @@ class TestFloat32:
         rng = np.random.default_rng(1)
         model = build_model(kind, task, rng, vocab_sizes=VOCABS, encoding=encoding, hidden=4, ann_hidden=6)
         num, cat, labels = small_batch(rng, task)
-        _, grads, _ = model.loss_and_grads(num, cat, labels, dropout=dropout, dropout_rng=rng)
+        _, grads = model.loss_and_grads(num, cat, labels, dropout=dropout, dropout_rng=rng)
         opt = Adam(model.params, model.trainable)
         opt.step(grads)
         assert len(caches) == (2 if kind == "bilstm" else 0)

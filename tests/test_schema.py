@@ -90,6 +90,10 @@ class TestParsing:
     def test_empty_age_is_nan(self):
         assert math.isnan(parse_age(""))
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "1e400", "nan"])
+    def test_nonfinite_age_is_nan(self, text):
+        assert math.isnan(parse_age(text))
+
     def test_grid_hours(self):
         assert grid_hours(60) == 1
         assert grid_hours(61) == 2

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,19 @@ class TestRoundTrip:
         assert report.excluded["age <= 18"] == 20
         assert report.excluded["fewer than 15 records"] == 20
         assert len(report.included) == 160
+
+    def test_infinite_age_fails_the_adult_rule(self, tmp_path):
+        generate(SynthConfig(n_patients=30, hours_range=(20, 40), seed=3), tmp_path / "d")
+        path = tmp_path / "d" / "patient.csv"
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        rows[0][header.index("age")] = "inf"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        dataset = load_dataset(tmp_path / "d")
+        report = select_base_cohort(list(dataset.metas.values()), dataset.record_counts)
+        assert report.excluded["age <= 18"] == 1   # no other stay is underage
+        assert int(rows[0][header.index("patientunitstayid")]) not in report.included
 
     def test_multi_stay_patients_share_patient_id(self, tmp_path):
         cfg = SynthConfig(n_patients=60, hours_range=(10, 20), seed=3, multi_stay_fraction=0.2)
