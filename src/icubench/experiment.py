@@ -26,7 +26,7 @@ from .errors import ConfigError, DataError, IcubenchError
 from .ingestion import TABLE_FILES, Dataset, load_dataset
 from .neural import build_model, predict_scores, train_model
 from .neural.checkpoint import save_checkpoint, schema_hash
-from .neural.training import InstanceGroup
+from .neural.training import InstanceSet
 from .phenotypes import PhenotypeCatalog
 from .preprocessing import build_stay_grid, build_vocabs, encode_categoricals, oversample
 from .schema import (
@@ -426,9 +426,9 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         if cfg.zscore and cfg.use_numeric:
             zstats = _zscore_stats(train_list, grids)
 
-        train_groups = _group_instances_direct(train_list, grids, encoded, cfg, zstats)
+        train_set = _instance_set(train_list, grids, encoded, cfg, zstats)
         test_list = [instances[p] for p in test_pos]
-        test_groups = _group_instances_direct(test_list, grids, encoded, cfg, zstats)
+        test_set = _instance_set(test_list, grids, encoded, cfg, zstats)
 
         vocab_sizes = {name: len(vocabs.values[name]) for name in CATEGORICAL_VARIABLES} if cfg.use_categorical else None
         model = build_model(
@@ -446,14 +446,14 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         )
         train_model(
             model,
-            train_groups,
+            train_set,
             epochs=cfg.epochs,
             batch_size=cfg.batch_size,
             rng=np.random.default_rng((cfg.seed, fold, 0x02)),
             step_size=cfg.learning_rate,
             dropout=cfg.dropout,
         )
-        scores = predict_scores(model, test_groups)
+        scores = predict_scores(model, test_set)
         labels = np.stack([np.asarray(inst.label, dtype=np.float64) for inst in test_list])
         metrics, fold_warnings = _fold_metrics(cfg, scores, labels)
         fold_results.append({
@@ -501,31 +501,22 @@ def _zscore_stats(train_list, grids):
     return mean, std
 
 
-def _group_instances_direct(
+def _instance_set(
     instance_list: list[TaskInstance],
     grids: Mapping[int, HourlyGrid],
     encoded: Mapping[int, np.ndarray],
     cfg: ExperimentConfig,
     zstats=None,
-) -> list[InstanceGroup]:
-    by_length: dict[int, list[int]] = {}
-    for i, inst in enumerate(instance_list):
-        by_length.setdefault(inst.length, []).append(i)
-    groups = []
-    for length in sorted(by_length):
-        members = by_length[length]
-        num = cat = None
-        if cfg.use_numeric:
-            num = np.stack([grids[instance_list[i].stay_id].numeric[instance_list[i].start:instance_list[i].end]
-                            for i in members])
-            if zstats is not None:
-                num = (num - zstats[0]) / zstats[1]
-        if cfg.use_categorical:
-            cat = np.stack([encoded[instance_list[i].stay_id][instance_list[i].start:instance_list[i].end]
-                            for i in members])
-        labels = np.stack([np.asarray(instance_list[i].label, dtype=np.float64) for i in members])
-        groups.append(InstanceGroup(indices=np.array(members, dtype=np.int64), num=num, cat=cat, labels=labels))
-    return groups
+) -> InstanceSet:
+    num = cat = None
+    if cfg.use_numeric:
+        num = np.concatenate([grids[inst.stay_id].numeric[inst.start:inst.end] for inst in instance_list])
+        if zstats is not None:
+            num = (num - zstats[0]) / zstats[1]
+    if cfg.use_categorical:
+        cat = np.concatenate([encoded[inst.stay_id][inst.start:inst.end] for inst in instance_list])
+    labels = np.stack([np.asarray(inst.label, dtype=np.float64) for inst in instance_list])
+    return InstanceSet([inst.length for inst in instance_list], num, cat, labels)
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,12 @@ unparseable one, and counted per table as out of range.  An age is read
 like any other value (schema.parse_age): a non-finite age is NaN, so it
 fails the adult rule, and '> 89' reads as 90.  Blank lines are skipped.
 Rows with missing or extra cells (an unquoted comma inside a value, for
-instance), and rows whose stay id or offset is not an integer inside int64
-(one rule for all four tables, the patient table's discharge and death
-offsets included), are counted as malformed and skipped; a file that is
-not UTF-8 or that the CSV parser cannot read (an unterminated quote running
-past the field size limit, for instance), and a record over several lines,
-are data errors.
+instance), rows whose stay id or offset is not an integer inside int64 (one
+rule for all four tables), and patient rows whose discharge or death offset
+is outside schema.PATIENT_OFFSET_RANGE_MINUTES (0 to five years) are counted
+as malformed and skipped; a file that is not UTF-8 or that the CSV parser
+cannot read (an unterminated quote running past the field size limit, for
+instance), and a record over several lines, are data errors.
 
 Where the source data offers the same variable under several labels, the
 default alias map below documents the choice: vitals, GCS components,
@@ -52,6 +52,7 @@ from .schema import (
     CATEGORICAL_VARIABLES,
     N_NUMERIC,
     NUMERICAL_VARIABLES,
+    PATIENT_OFFSET_RANGE_MINUTES,
     UNKNOWN,
     VALID_RANGES,
     VARIABLE_INDEX,
@@ -123,6 +124,7 @@ _DEMOGRAPHICS = tuple(VARIABLE_INDEX[name] for name in ("Admission diagnosis", "
 _STATUS = {status.value: status for status in DischargeStatus}
 
 #: Bounds of every stay id and offset cell, in all four tables: the stay table stores them as int64.
+#: Patient offsets must also lie in the narrower schema.PATIENT_OFFSET_RANGE_MINUTES.
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 #: Messages IngestionReport.render prints before summarizing the rest.
@@ -227,6 +229,15 @@ def _int64(text: str, name: str) -> int:
     return value
 
 
+def _offset_minutes(text: str, name: str) -> int:
+    """A patient offset cell as an int; ValueError when it does not parse or is
+    outside PATIENT_OFFSET_RANGE_MINUTES."""
+    value = int(text)
+    if not PATIENT_OFFSET_RANGE_MINUTES[0] <= value <= PATIENT_OFFSET_RANGE_MINUTES[1]:
+        raise ValueError(f"{name} {value} out of range")
+    return value
+
+
 def parse_patient_id(text: str) -> int:
     """Digit ids parse as ints; anything else hashes to a stable 63-bit int."""
     text = text.strip()
@@ -239,8 +250,9 @@ def parse_patient_id(text: str) -> int:
 def load_stay_meta(path, report: IngestionReport | None = None) -> list[StayMeta]:
     """Read the patient table into StayMeta rows.
 
-    Rows whose stay id or offsets are not integers inside int64 are skipped
-    and counted in the report, each with a message; unparseable categorical
+    Rows whose stay id is not an integer inside int64, or whose offsets are
+    not integers inside PATIENT_OFFSET_RANGE_MINUTES, are skipped and counted
+    in the report, each with a message; unparseable categorical
     cells become the reserved "unknown" value instead of failing the row.
     A second row for a stay id is counted as malformed too; the first one
     is kept.
@@ -253,13 +265,13 @@ def load_stay_meta(path, report: IngestionReport | None = None) -> list[StayMeta
     for stay, patient, age, gender, ethnicity, diagnosis, status_text, offset_text, death_text in rows:
         try:
             stay_id = _int64(stay, "stay id")
-            offset = _int64(offset_text, "unit discharge offset")
+            offset = _offset_minutes(offset_text, "unit discharge offset")
             if offset <= 0:
                 raise ValueError("nonpositive unit discharge offset")
             status = _STATUS.get(status_text.strip().lower(), DischargeStatus.MISSING)
             death_offset = None
             if status == DischargeStatus.EXPIRED and death_text.strip():
-                death_offset = _int64(death_text, "death offset")
+                death_offset = _offset_minutes(death_text, "death offset")
             if stay_id in seen:
                 malformed += 1
                 report.messages.append(f"duplicate stay id {stay_id}; keeping first occurrence")

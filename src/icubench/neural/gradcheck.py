@@ -45,19 +45,20 @@ def _sampled_coordinates(model, n_coords: int, rng: np.random.Generator):
     return [(name, i) for name in names for i in sorted(chosen[name])]
 
 
-def grad_check(model, batch, eps: float = 1e-5, n_coords: int = 200, rng=None) -> GradCheckResult:
+def grad_check(model, batch, eps: float = 1e-5, n_coords: int = 200, rng=None, *, lengths=None) -> GradCheckResult:
     """Compare analytic gradients with central differences on sampled coordinates.
 
     Coordinates where the two perturbed evaluations land on different sides
     of a ReLU kink are excluded from the error statistic and reported
-    separately (the loss is not differentiable there).  The check runs on a
+    separately (the loss is not differentiable there).  ``lengths`` makes
+    ``batch`` a ragged pass (see ``models.py``).  The check runs on a
     float64 copy of the model, so a float32 model is left untouched and the
     differences are not swamped by float32 round-off.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     model = model.astype(np.float64)
     num, cat, labels = batch
-    _, grads = model.loss_and_grads(num, cat, labels)
+    _, grads = model.loss_and_grads(num, cat, labels, lengths=lengths)
 
     max_rel = 0.0
     n_checked = 0
@@ -66,9 +67,9 @@ def grad_check(model, batch, eps: float = 1e-5, n_coords: int = 200, rng=None) -
         param = model.params[name]
         orig = param.flat[flat_idx]
         param.flat[flat_idx] = orig + eps
-        loss_plus, pre_plus = model.loss_forward(num, cat, labels)
+        loss_plus, pre_plus = model.loss_forward(num, cat, labels, lengths=lengths)
         param.flat[flat_idx] = orig - eps
-        loss_minus, pre_minus = model.loss_forward(num, cat, labels)
+        loss_minus, pre_minus = model.loss_forward(num, cat, labels, lengths=lengths)
         param.flat[flat_idx] = orig
 
         kink = any(np.any(np.sign(zp) != np.sign(zm)) for zp, zm in zip(pre_plus, pre_minus))

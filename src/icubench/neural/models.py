@@ -6,6 +6,14 @@ an affine head, squash.  Binary heads (mortality, decompensation) and the
 ReLU so predictions cannot go negative.  The pooled baselines (``lr``,
 ``ann``) consume the mean over time of the same per-timestep input vector
 the sequence model sees, embeddings included.
+
+Every entry point takes an optional keyword-only ``lengths``: the rows'
+window lengths, longest first, for a pass whose rows are end-aligned (row r
+is its last ``lengths[r]`` steps; the steps before are padding).  Padding
+cells enter the model as zeros, the pooled models average each row over its
+own length, the BiLSTM starts each row at its first real step and reverses
+it within its own length, and no embedding row receives gradient from a
+padding cell.  ``lengths=None`` means every row fills all T steps.
 """
 
 from __future__ import annotations
@@ -25,6 +33,27 @@ OUT_DIM = {Task.MORTALITY: 1, Task.DECOMPENSATION: 1, Task.LOS: 1, Task.PHENOTYP
 
 OHE = "ohe"
 EMBEDDING = "embedding"
+
+
+def real_cells(lengths: np.ndarray, T: int) -> np.ndarray:
+    """[B, T] mask of the cells that hold a row's window (end-aligned)."""
+    return np.arange(T) >= (T - np.asarray(lengths))[:, None]
+
+
+def _row_lengths(x: np.ndarray, lengths) -> np.ndarray:
+    """Checked per-row lengths of a [B, T, ...] pass (all T when None)."""
+    B, T = x.shape[:2]
+    if lengths is None:
+        return np.full(B, T)
+    lengths = np.asarray(lengths)
+    if lengths.shape != (B,) or np.any(lengths < 1) or np.any(lengths > T) or np.any(np.diff(lengths) > 0):
+        raise ValueError(f"lengths must be {B} values in [1, {T}], longest first")
+    return lengths
+
+
+def _cells(a: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The [B, T, D] array ``a`` with its B*T cells taken in the flat ``order``."""
+    return a.reshape(-1, a.shape[-1])[order].reshape(a.shape)
 
 
 def embedding_dims(vocab_sizes: Mapping[str, int], cap: int = 50) -> dict[str, int]:
@@ -77,18 +106,24 @@ class BaseModel:
     def input_width(self) -> int:
         return (N_NUMERIC if self.use_numeric else 0) + (self.emb.width if self.emb else 0)
 
-    def _assemble(self, num: np.ndarray | None, cat: np.ndarray | None) -> np.ndarray:
+    def _assemble(self, num: np.ndarray | None, cat: np.ndarray | None, lengths) -> np.ndarray:
         parts = []
         if self.use_numeric:
             parts.append(np.asarray(num, dtype=self.dtype))
         if self.emb is not None:
             parts.append(self.emb.forward(cat))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        if lengths is not None:
+            x = np.where(real_cells(_row_lengths(x, lengths), x.shape[1])[..., None], x, 0.0)
+        return x
 
-    def _emb_grads(self, dx: np.ndarray, cat: np.ndarray | None) -> dict[str, np.ndarray]:
+    def _emb_grads(self, dx: np.ndarray, cat: np.ndarray | None, lengths) -> dict[str, np.ndarray]:
         if self.emb is None or not self.emb.trainable:
             return {}  # frozen tables (OHE included) take no update, so skip the scatter
         offset = N_NUMERIC if self.use_numeric else 0
+        if lengths is not None:   # scatter the real cells only
+            real = real_cells(lengths, cat.shape[1])
+            cat, dx = cat[real], dx[real]
         return {f"emb/{name}": g for name, g in self.emb.backward(cat, dx[..., offset:]).items()}
 
     def _head_out(self, rep: np.ndarray):
@@ -112,28 +147,28 @@ class BaseModel:
         return dz @ self.params["head/W"], grads
 
     # subclasses: representation of the window
-    def _core(self, x):  # -> (rep, cache, relu_preacts)
+    def _core(self, x, lengths=None):  # -> (rep, cache, relu_preacts)
         raise NotImplementedError
 
     def _core_backward(self, drep, cache):  # -> (dx, grads)
         raise NotImplementedError
 
-    def predict(self, num, cat) -> np.ndarray:
-        rep, _, _ = self._core(self._assemble(num, cat))
+    def predict(self, num, cat, *, lengths=None) -> np.ndarray:
+        rep, _, _ = self._core(self._assemble(num, cat, lengths), lengths)
         return self._head_out(rep)[1]
 
-    def loss_forward(self, num, cat, labels) -> tuple[float, list[np.ndarray]]:
+    def loss_forward(self, num, cat, labels, *, lengths=None) -> tuple[float, list[np.ndarray]]:
         """Loss plus every ReLU pre-activation (for kink detection)."""
-        rep, _, preacts = self._core(self._assemble(num, cat))
+        rep, _, preacts = self._core(self._assemble(num, cat, lengths), lengths)
         z, preds = self._head_out(rep)
         loss, _ = task_loss(preds, labels, self.task)
         if self.task == Task.LOS:
             preacts = preacts + [z[:, 0]]
         return loss, preacts
 
-    def loss_and_grads(self, num, cat, labels, dropout: float = 0.0, dropout_rng=None):
-        x = self._assemble(num, cat)
-        rep, cache, _ = self._core(x)
+    def loss_and_grads(self, num, cat, labels, dropout: float = 0.0, dropout_rng=None, *, lengths=None):
+        x = self._assemble(num, cat, lengths)
+        rep, cache, _ = self._core(x, lengths)
         mask = None
         if dropout > 0.0 and dropout_rng is not None:
             mask = (dropout_rng.random(rep.shape) >= dropout).astype(rep.dtype) / (1.0 - dropout)
@@ -145,7 +180,7 @@ class BaseModel:
             drep = drep * mask
         dx, core_grads = self._core_backward(drep, cache)
         grads.update(core_grads)
-        grads.update(self._emb_grads(dx, cat))
+        grads.update(self._emb_grads(dx, cat, lengths))
         return loss, grads
 
 
@@ -159,12 +194,12 @@ class LinearModel(BaseModel):
         self.params["head/W"] = glorot(rng, OUT_DIM[task], self.input_width)
         self.params["head/b"] = np.zeros(OUT_DIM[task])
 
-    def _core(self, x):
-        return x.mean(axis=1), {"T": x.shape[1], "shape": x.shape}, []
+    def _core(self, x, lengths=None):
+        counts = _row_lengths(x, lengths).astype(x.dtype)[:, None]
+        return x.sum(axis=1) / counts, {"counts": counts, "shape": x.shape}, []
 
     def _core_backward(self, drep, cache):
-        T = cache["T"]
-        return np.broadcast_to(drep[:, None, :] / T, cache["shape"]), {}
+        return np.broadcast_to((drep / cache["counts"])[:, None, :], cache["shape"]), {}
 
 
 class AnnModel(BaseModel):
@@ -180,16 +215,17 @@ class AnnModel(BaseModel):
         self.params["head/W"] = glorot(rng, OUT_DIM[task], hidden)
         self.params["head/b"] = np.zeros(OUT_DIM[task])
 
-    def _core(self, x):
-        pooled = x.mean(axis=1)
+    def _core(self, x, lengths=None):
+        counts = _row_lengths(x, lengths).astype(x.dtype)[:, None]
+        pooled = x.sum(axis=1) / counts
         z1 = pooled @ self.params["hidden/W"].T + self.params["hidden/b"]
-        return relu(z1), {"pooled": pooled, "z1": z1, "T": x.shape[1], "shape": x.shape}, [z1]
+        return relu(z1), {"pooled": pooled, "z1": z1, "counts": counts, "shape": x.shape}, [z1]
 
     def _core_backward(self, drep, cache):
         dz1 = drep * (cache["z1"] > 0.0)
         grads = {"hidden/W": dz1.T @ cache["pooled"], "hidden/b": dz1.sum(axis=0)}
         dpooled = dz1 @ self.params["hidden/W"]
-        return np.broadcast_to(dpooled[:, None, :] / cache["T"], cache["shape"]), grads
+        return np.broadcast_to((dpooled / cache["counts"])[:, None, :], cache["shape"]), grads
 
 
 class BilstmModel(BaseModel):
@@ -197,6 +233,8 @@ class BilstmModel(BaseModel):
 
     The summary is [last forward state ; backward state at timestep 0], the
     backward direction being the same cell run over the reversed sequence.
+    In a ragged pass each row is reversed within its own length, so it
+    stays end-aligned and both directions run the same active-row prefix.
     """
 
     kind = "bilstm"
@@ -210,25 +248,33 @@ class BilstmModel(BaseModel):
         self.params["head/W"] = glorot(rng, OUT_DIM[task], 2 * hidden)
         self.params["head/b"] = np.zeros(OUT_DIM[task])
 
-    def _core(self, x):
-        if x.shape[1] < 1:
+    def _core(self, x, lengths=None):
+        B, T = x.shape[:2]
+        if T < 1:
             raise ValueError("sequence must be nonempty")
+        lengths = _row_lengths(x, lengths)
+        real = real_cells(lengths, T)
+        active = real.sum(axis=0)   # rows whose window has begun: a prefix, rows being longest first
+        # flat [B*T] cell order with each row reversed within its own length; a padding cell maps to itself
+        steps = np.arange(T)
+        reverse = (np.arange(B)[:, None] * T + np.where(real, 2 * T - 1 - lengths[:, None] - steps, steps)).ravel()
         p = self.params
         summary, caches = [], []
-        for tag, seq in zip(self.directions, (x, x[:, ::-1])):
-            hs, cache = lstm.lstm_forward(seq, p[f"{tag}/Wx"], p[f"{tag}/Wh"], p[f"{tag}/b"])
+        for tag, seq in zip(self.directions, (x, _cells(x, reverse))):
+            hs, cache = lstm.lstm_forward(seq, p[f"{tag}/Wx"], p[f"{tag}/Wh"], p[f"{tag}/b"], active=active)
             summary.append(hs[:, -1])
             caches.append(cache)
-        return np.concatenate(summary, axis=1), caches, []
+        return np.concatenate(summary, axis=1), (caches, active, reverse), []
 
     def _core_backward(self, drep, cache):
+        caches, active, reverse = cache
         p = self.params
         grads, dxs = {}, []
-        for tag, dh_last, c in zip(self.directions, np.split(drep, 2, axis=1), cache):
-            dx, g = lstm.lstm_backward(dh_last, c, p[f"{tag}/Wx"], p[f"{tag}/Wh"])
+        for tag, dh_last, c in zip(self.directions, np.split(drep, 2, axis=1), caches):
+            dx, g = lstm.lstm_backward(dh_last, c, p[f"{tag}/Wx"], p[f"{tag}/Wh"], active=active)
             grads.update({f"{tag}/{name}": v for name, v in g.items()})
             dxs.append(dx)
-        return dxs[0] + dxs[1][:, ::-1], grads
+        return dxs[0] + _cells(dxs[1], reverse), grads
 
 
 def build_model(

@@ -93,6 +93,13 @@ VALID_RANGES: dict[str, tuple[float, float]] = {
     "Age": (0.0, 130.0),
 }
 
+#: Inclusive plausibility range of the patient table's offsets (unit
+#: discharge and death, in minutes after unit admission): up to five years,
+#: far past any ICU stay and its hospital follow-up.  A patient row with an
+#: offset outside it is malformed.  int64 alone would keep an offset of
+#: 2**63 - 1 minutes, whose remaining-LoS labels run to 6e15 days.
+PATIENT_OFFSET_RANGE_MINUTES = (0, 5 * 365 * 24 * 60)
+
 #: Stays longer than this are truncated when gridding (configurable).
 DEFAULT_MAX_GRID_HOURS = 500
 

@@ -244,3 +244,27 @@ def ref_lstm_backward(dh_last, cache, Wx, Wh):
     db = dz_all.sum(axis=(0, 1))
     dx = (flat_dz @ Wx).reshape(B, T, D)
     return dx, {"Wx": dWx, "Wh": dWh, "b": db}
+
+
+# --- Mini-batches as they were cut when every batch held one window length.
+# For instances of one length the package's length buckets must give the
+# same index sets in the same order.
+
+def ref_make_epoch_batches(groups, batch_size: int, rng: np.random.Generator):
+    """Shuffled mini-batches; instance order within groups and batch order
+    across groups are both reshuffled each call.  Each group has ``size``
+    and stacked ``num``, ``cat`` (either may be None) and ``labels``."""
+    batches = []
+    for group in groups:
+        perm = rng.permutation(group.size)
+        for lo in range(0, group.size, batch_size):
+            sel = perm[lo:lo + batch_size]
+            batches.append(
+                (
+                    group.num[sel] if group.num is not None else None,
+                    group.cat[sel] if group.cat is not None else None,
+                    group.labels[sel],
+                )
+            )
+    order = rng.permutation(len(batches))
+    return [batches[i] for i in order]

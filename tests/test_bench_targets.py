@@ -41,3 +41,22 @@ def test_bilstm_step_is_traced():
     assert spans["functional.sigmoid"]["calls"] > 0
     assert counts["lstm.flops"] == 2 * 8 * B * T * (N_NUMERIC + H) * H
     assert tracer.restored()
+
+
+def test_ragged_bilstm_pass_is_traced():
+    # the kernels take the active-row count as a keyword, so the flop count
+    # still unpacks four positional arguments and the batch count reads labels at args[3]
+    B, T, H = 3, 4, 5
+    rng = np.random.default_rng(0)
+    model = build_model("bilstm", Task.MORTALITY, rng, hidden=H)
+    num = rng.normal(size=(B, T, N_NUMERIC))
+    labels = np.array([0.0, 1.0, 1.0])
+    tracer = Tracer(layers.targets())
+    with tracer:
+        model.loss_and_grads(num, None, labels, lengths=np.array([4, 4, 2]))
+    spans, counts = tracer.summary()["spans"], tracer.summary()["counts"]
+    assert spans["lstm.forward"]["calls"] == 2
+    assert spans["lstm.backward"]["calls"] == 2
+    assert counts["lstm.flops"] == 2 * 8 * B * T * (N_NUMERIC + H) * H
+    assert counts["training.instances"] == B
+    assert tracer.restored()

@@ -150,6 +150,27 @@ class TestEdgeTokenFuzz:
                      "--folds", "2", "--epochs", "1", "--out", str(tmp_path / "o")]) in (0, 3)
 
 
+class TestImplausibleOffset:
+    def test_discharge_offset_beyond_the_plausible_range_is_malformed(self, tmp_path):
+        # 2**63 - 1 minutes fits int64; kept, it gave an aggregate LoS MAE of 1.46e15 days
+        dump = tmp_path / "d"
+        generate(SynthConfig(n_patients=40, seed=2, hours_range=(24, 60), signal_strength=1.5), dump)
+        with open(dump / TABLE_FILES["patient"], newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        row = next(r for r in rows if r[header.index("patientunitstayid")] == "100016")
+        row[header.index("unitdischargeoffset")] = str(2**63 - 1)
+        with open(dump / TABLE_FILES["patient"], "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        report = load_dataset(dump).report
+        assert report.rows_malformed["patient"] == 1
+        assert f"patient row skipped: unit discharge offset {2**63 - 1} out of range" in report.messages
+        out = tmp_path / "o"
+        assert main(["run", "--task", "los", "--model", "lr", "--data-dir", str(dump),
+                     "--folds", "2", "--epochs", "1", "--out", str(out)]) == 0
+        mae = json.loads((out / "report.json").read_text(encoding="utf-8"))["aggregate"]["mae"]["mean"]
+        assert mae < 100.0   # days
+
+
 class TestRunCommand:
     def test_run_and_compare_roundtrip(self, small_dump, tmp_path, capsys):
         out_a = tmp_path / "a"

@@ -18,7 +18,15 @@ from icubench.ingestion import (
     stay_table,
 )
 from icubench.preprocessing import build_stay_grid
-from icubench.schema import CATEGORICAL_VARIABLES, NUMERICAL_VARIABLES, VARIABLES, DischargeStatus, normal_values
+from icubench.schema import (
+    CATEGORICAL_VARIABLES,
+    NUMERICAL_VARIABLES,
+    PATIENT_OFFSET_RANGE_MINUTES,
+    VARIABLES,
+    DischargeStatus,
+    normal_values,
+)
+from icubench.synth import SynthConfig, generate
 
 PATIENT_HEADER = ("patientunitstayid,uniquepid,age,gender,ethnicity,apacheadmissiondx,"
                   "hospitaldischargestatus,unitdischargeoffset,hospitaldischargeoffset")
@@ -250,16 +258,44 @@ class TestReport:
         dump = write_dump(tmp_path / "d", [
             f"7,1001,50,Female,Caucasian,Sepsis,Alive,{nines},",
             f"8,1002,45,Male,Hispanic,Trauma,Expired,1500,{nines}",
-            f"9,1003,60,Male,Other,CHF,Expired,{2**63 - 1},{2**63 - 1}",   # 19 digits, inside int64
+            "9,1003,60,Male,Other,CHF,Expired,1500,2000",
         ])
         dataset = load_dataset(dump)
         metas, report = dataset.metas, dataset.report
         assert sorted(metas) == [9]
-        assert metas[9].unit_discharge_offset_minutes == metas[9].death_offset_minutes == 2**63 - 1
+        assert (metas[9].unit_discharge_offset_minutes, metas[9].death_offset_minutes) == (1500, 2000)
         assert report.rows_malformed["patient"] == 2
         assert report.rows_read["patient"] == report.rows_kept["patient"] + report.rows_malformed["patient"]
         assert f"patient row skipped: unit discharge offset {nines} out of range" in report.messages
         assert f"patient row skipped: death offset {nines} out of range" in report.messages
+
+    def test_patient_offsets_outside_their_plausible_range_are_malformed(self, tmp_path):
+        # 2**63 - 1 minutes fits int64 but gave remaining-LoS labels near 6e15 days
+        lo, hi = PATIENT_OFFSET_RANGE_MINUTES
+        dump = write_dump(tmp_path / "d", [
+            f"7,1001,50,Female,Caucasian,Sepsis,Alive,{2**63 - 1},",
+            f"8,1002,45,Male,Hispanic,Trauma,Expired,1500,{2**63 - 1}",
+            f"9,1003,60,Male,Other,CHF,Expired,1500,{lo - 1}",
+            f"10,1004,60,Male,Other,CHF,Alive,{hi + 1},",
+            f"11,1005,70,Male,Other,CHF,Expired,{hi},{hi}",
+            f"12,1006,70,Female,Other,CHF,Expired,60,{lo}",
+        ])
+        dataset = load_dataset(dump)
+        metas, report = dataset.metas, dataset.report
+        assert sorted(metas) == [11, 12]
+        assert (metas[11].unit_discharge_offset_minutes, metas[11].death_offset_minutes) == (hi, hi)
+        assert report.rows_malformed["patient"] == 4
+        assert report.rows_read["patient"] == report.rows_kept["patient"] + report.rows_malformed["patient"]
+        for message in (f"unit discharge offset {2**63 - 1} out of range", f"death offset {2**63 - 1} out of range",
+                        f"death offset {lo - 1} out of range", f"unit discharge offset {hi + 1} out of range"):
+            assert f"patient row skipped: {message}" in report.messages
+
+    def test_offset_range_contains_every_synthetic_offset(self, tmp_path):
+        # the longest stays a shipped config asks for: the ingest-lr benchmark dump goes up to 168 h
+        generate(SynthConfig(n_patients=300, hours_range=(150, 168), seed=4), tmp_path / "d")
+        report = load_dataset(tmp_path / "d").report
+        assert report.rows_read["patient"] == report.rows_kept["patient"]
+        assert report.rows_malformed.get("patient", 0) == 0
 
     def test_values_outside_their_range_are_kept_as_nan(self, tmp_path):
         # FiO2 passes as a fraction and as a percent; inf does not parse, so it is not counted as out of range

@@ -17,7 +17,7 @@ from icubench.neural import (
 )
 from icubench.neural import lstm
 from icubench.neural.checkpoint import load_checkpoint, save_checkpoint, schema_hash
-from icubench.neural.training import InstanceGroup
+from icubench.neural.training import InstanceSet
 from icubench.schema import CATEGORICAL_VARIABLES, Task, normal_values
 
 VOCABS = {"A": 4, "B": 3, "C": 5, "D": 4, "E": 3, "F": 3, "G": 6}
@@ -200,9 +200,9 @@ class TestEncodingEquivalence:
                             embed_init=init, embed_frozen=True, hidden=6)
             )
         a, b = models
-        group = InstanceGroup(indices=np.arange(len(labels)), num=num, cat=cat, labels=labels)
-        train_model(a, [group], epochs=3, batch_size=2, rng=np.random.default_rng(1))
-        train_model(b, [group], epochs=3, batch_size=2, rng=np.random.default_rng(1))
+        data = InstanceSet.uniform(num, cat, labels)
+        train_model(a, data, epochs=3, batch_size=2, rng=np.random.default_rng(1))
+        train_model(b, data, epochs=3, batch_size=2, rng=np.random.default_rng(1))
         assert np.array_equal(a.predict(num, cat), b.predict(num, cat))
 
     def test_frozen_tables_get_no_gradient(self):
@@ -224,11 +224,11 @@ class TestDeterminism:
     def test_same_seed_same_trajectory(self):
         task = Task.DECOMPENSATION
         num, cat, labels = small_batch(np.random.default_rng(2), task, B=8)
-        group = InstanceGroup(indices=np.arange(8), num=num, cat=cat, labels=labels)
+        data = InstanceSet.uniform(num, cat, labels)
         snapshots = []
         for _ in range(2):
             model = build_model("bilstm", task, np.random.default_rng(3), vocab_sizes=VOCABS, hidden=5)
-            train_model(model, [group], epochs=2, batch_size=4, rng=np.random.default_rng(4))
+            train_model(model, data, epochs=2, batch_size=4, rng=np.random.default_rng(4))
             snapshots.append({k: v.copy() for k, v in model.params.items()})
         for key in snapshots[0]:
             assert np.array_equal(snapshots[0][key], snapshots[1][key])
@@ -246,8 +246,8 @@ class TestFloat32:
         forward = lstm.lstm_forward
         caches = []
 
-        def recording_forward(*args):
-            hs, cache = forward(*args)
+        def recording_forward(*args, **kwargs):
+            hs, cache = forward(*args, **kwargs)
             caches.append(cache)
             return hs, cache
 

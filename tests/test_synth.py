@@ -7,7 +7,7 @@ from icubench.cohort import select_base_cohort
 from icubench.errors import ConfigError
 from icubench.ingestion import load_dataset
 from icubench.neural import build_model, train_model
-from icubench.neural.training import InstanceGroup
+from icubench.neural.training import InstanceSet
 from icubench.preprocessing import build_stay_grid
 from icubench.schema import DischargeStatus, Task, normal_values
 from icubench.synth import PHENOTYPE_RATES, SynthConfig, generate, synthetic_catalog
@@ -148,8 +148,8 @@ class TestPlantedSignal:
         labels = np.asarray(labels)
         half = len(labels) // 2
         model = build_model("lr", Task.MORTALITY, np.random.default_rng(0), use_numeric=True)
-        group = InstanceGroup(indices=np.arange(half), num=num[:half], cat=None, labels=labels[:half])
-        train_model(model, [group], epochs=30, batch_size=128, rng=np.random.default_rng(1))
+        data = InstanceSet.uniform(num[:half], None, labels[:half])
+        train_model(model, data, epochs=30, batch_size=128, rng=np.random.default_rng(1))
         scores = model.predict(num[half:], None)
         from icubench.evaluation import auroc
 

@@ -1,0 +1,186 @@
+"""Length-bucketed mini-batches and the ragged passes that evaluate them.
+
+A batch's rows are cut into passes of whole equal-length runs; inside a
+pass rows are end-aligned and the cells before a row's window are padding.
+These tests pin that padding changes no row's score or gradient, that the
+pass rule never splits a run (so data of one length trains as before), and
+that the batches of one length are those of plain shuffled mini-batches.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _reference import ref_make_epoch_batches
+from icubench.neural import build_model, grad_check
+from icubench.neural.models import real_cells
+from icubench.neural.training import (
+    PASS_CELLS,
+    InstanceSet,
+    batch_loss_and_grads,
+    make_epoch_batches,
+    predict_scores,
+    split_passes,
+)
+from icubench.schema import N_NUMERIC, Task
+
+VOCABS = {"A": 4, "B": 3, "C": 5, "D": 4, "E": 3, "F": 3, "G": 6}
+LENGTHS = [7, 7, 5, 3, 3, 1]   # longest first, three runs and a single
+
+
+def ragged_set(rng, task, lengths=LENGTHS, vocabs=VOCABS):
+    n, cells = len(lengths), int(np.sum(lengths))
+    num = rng.normal(size=(cells, N_NUMERIC))
+    cat = np.stack([rng.integers(0, size, size=cells) for size in vocabs.values()], axis=-1)
+    if task == Task.PHENOTYPING:
+        labels = (rng.random((n, 25)) < 0.4).astype(float)
+    elif task == Task.LOS:
+        labels = rng.uniform(0.0, 3.0, size=n)
+    else:
+        labels = np.array([1.0, 0.0] * (n // 2))
+    return InstanceSet(lengths, num, cat, labels)
+
+
+def one_pass(data):
+    return data.window_pass(np.arange(len(data)))
+
+
+class TestWindowPass:
+    def test_rows_are_end_aligned_and_padding_is_zero(self):
+        data = ragged_set(np.random.default_rng(0), Task.MORTALITY)
+        num, cat, labels, lengths = one_pass(data)
+        assert num.shape == (6, 7, N_NUMERIC) and cat.shape == (6, 7, len(VOCABS))
+        assert lengths.tolist() == LENGTHS and np.array_equal(labels, data.labels)
+        for r, length in enumerate(LENGTHS):
+            lo, hi = data.offsets[r], data.offsets[r + 1]
+            assert np.array_equal(num[r, 7 - length:], data.num[lo:hi])
+            assert np.array_equal(cat[r, 7 - length:], data.cat[lo:hi])
+            assert not num[r, :7 - length].any() and not cat[r, :7 - length].any()
+
+    def test_uniform_set_round_trips(self):
+        rng = np.random.default_rng(1)
+        num, cat = rng.normal(size=(5, 4, N_NUMERIC)), rng.integers(0, 3, size=(5, 4, 7))
+        data = InstanceSet.uniform(num, cat, np.zeros(5))
+        got_num, got_cat, _, lengths = data.window_pass(np.array([3, 0, 4]))
+        assert np.array_equal(got_num, num[[3, 0, 4]]) and np.array_equal(got_cat, cat[[3, 0, 4]])
+        assert lengths.tolist() == [4, 4, 4]
+
+
+class TestRaggedPass:
+    @pytest.mark.parametrize("task", [Task.MORTALITY, Task.LOS, Task.PHENOTYPING, Task.DECOMPENSATION])
+    @pytest.mark.parametrize("kind", ["lr", "ann", "bilstm"])
+    def test_gradient_check(self, kind, task):
+        # criterion 1's check and bound, on a pass with padding
+        rng = np.random.default_rng(100)
+        model = build_model(kind, task, rng, vocab_sizes=VOCABS, hidden=8, ann_hidden=12)
+        num, cat, labels, lengths = one_pass(ragged_set(rng, task))
+        result = grad_check(model, (num, cat, labels), n_coords=200, rng=np.random.default_rng(7), lengths=lengths)
+        assert result.max_rel_error < 1e-4
+
+    # float32 keeps 24 bits; a score in (0, 1) summed in another order moves by a few ulps
+    @pytest.mark.parametrize("dtype, bound", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("kind", ["lr", "ann", "bilstm"])
+    def test_row_score_equals_its_score_alone(self, kind, dtype, bound):
+        rng = np.random.default_rng(3)
+        data = ragged_set(rng, Task.PHENOTYPING)
+        model = build_model(kind, Task.PHENOTYPING, rng, vocab_sizes=VOCABS, hidden=8).astype(dtype)
+        num, cat, _, lengths = one_pass(data)
+        together = model.predict(num, cat, lengths=lengths)
+        for r in range(len(data)):
+            alone_num, alone_cat, _, _ = data.window_pass(np.array([r]))
+            alone = model.predict(alone_num, alone_cat)
+            assert np.max(np.abs(together[r] - alone[0])) <= bound
+
+    @pytest.mark.parametrize("kind", ["lr", "ann"])
+    def test_pooled_mean_excludes_padding(self, kind):
+        rng = np.random.default_rng(4)
+        model = build_model(kind, Task.MORTALITY, rng, vocab_sizes=VOCABS, ann_hidden=6).astype(np.float64)
+        num, cat, labels, lengths = one_pass(ragged_set(rng, Task.MORTALITY))
+        rep, cache, _ = model._core(model._assemble(num, cat, lengths), lengths)
+        pooled = rep if kind == "lr" else cache["pooled"]
+        full = model._assemble(num, cat, None)
+        for r, length in enumerate(lengths):
+            assert np.max(np.abs(pooled[r] - full[r, num.shape[1] - length:].mean(axis=0))) < 1e-12
+        # garbage in the padding cells changes nothing
+        pad = ~real_cells(lengths, num.shape[1])
+        noisy_num, noisy_cat = num.copy(), cat.copy()
+        noisy_num[pad] = 1e3
+        noisy_cat[pad] = 2
+        assert np.array_equal(model.predict(noisy_num, noisy_cat, lengths=lengths),
+                              model.predict(num, cat, lengths=lengths))
+
+    @pytest.mark.parametrize("kind", ["lr", "ann", "bilstm"])
+    def test_trainable_embedding_gets_no_gradient_from_padding(self, kind):
+        # real cells use rows 0-2 of every table; padding points at the last row, which must get exactly 0
+        vocabs = {name: 4 for name in VOCABS}
+        rng = np.random.default_rng(5)
+        data = ragged_set(rng, Task.MORTALITY, vocabs={name: 3 for name in VOCABS})
+        model = build_model(kind, Task.MORTALITY, rng, vocab_sizes=vocabs, hidden=6, ann_hidden=6)
+        num, cat, labels, lengths = one_pass(data)
+        pad = ~real_cells(lengths, num.shape[1])
+        cat[pad] = 3
+        _, grads = model.loss_and_grads(num, cat, labels, lengths=lengths)
+        emb = {k: g for k, g in grads.items() if k.startswith("emb/")}
+        assert len(emb) == len(VOCABS)
+        for name, g in emb.items():
+            assert not g[3].any(), name
+            assert g[:3].any(), name
+
+    def test_batch_gradient_is_the_row_weighted_sum_of_its_passes(self):
+        # 40 rows of lengths 60..21 need several passes; together they are one ragged pass
+        rng = np.random.default_rng(6)
+        lengths = np.arange(60, 20, -1)
+        assert len(split_passes(lengths)) > 1
+        data = ragged_set(rng, Task.PHENOTYPING, lengths=lengths)
+        model = build_model("bilstm", Task.PHENOTYPING, rng, vocab_sizes=VOCABS, hidden=5).astype(np.float64)
+        rows = rng.permutation(len(lengths))
+        loss, grads = batch_loss_and_grads(model, data, rows)
+        num, cat, labels, lens = one_pass(data)
+        want_loss, want = model.loss_and_grads(num, cat, labels, lengths=lens)
+        assert abs(loss - want_loss) < 1e-12
+        assert grads.keys() == want.keys()
+        for name in want:
+            assert np.max(np.abs(grads[name] - want[name])) < 1e-12, name
+
+    def test_predict_scores_are_in_instance_order(self):
+        rng = np.random.default_rng(7)
+        lengths = rng.integers(1, 50, size=60)
+        data = ragged_set(rng, Task.PHENOTYPING, lengths=lengths)
+        model = build_model("bilstm", Task.PHENOTYPING, rng, vocab_sizes=VOCABS, hidden=5).astype(np.float64)
+        scores = predict_scores(model, data)
+        assert scores.shape == (60, 25) and scores.dtype == np.float64
+        for r in (0, 17, 59):
+            num, cat, _, _ = data.window_pass(np.array([r]))
+            assert np.max(np.abs(scores[r] - model.predict(num, cat)[0])) < 1e-12
+
+
+class TestUniformDataUnchanged:
+    @pytest.mark.parametrize("n, batch_size", [(1, 4), (7, 3), (128, 128), (300, 128), (513, 64)])
+    def test_one_length_gives_the_reference_batches(self, n, batch_size):
+        group = SimpleNamespace(size=n, num=None, cat=None, labels=np.arange(n))
+        ref_rng, rng = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(3):   # epochs draw from one generator in turn
+            want = [labels for _, _, labels in ref_make_epoch_batches([group], batch_size, ref_rng)]
+            got = make_epoch_batches(np.full(n, 24), batch_size, rng)
+            assert [b.tolist() for b in got] == [b.tolist() for b in want]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(1, 80), min_size=1, max_size=200))
+    def test_passes_are_whole_runs_cut_greedily(self, values):
+        lengths = np.array(sorted(values, reverse=True))
+        passes = split_passes(lengths)
+        assert passes[0].start == 0 and passes[-1].stop == len(lengths)
+        for before, after in zip(passes, passes[1:]):
+            assert before.stop == after.start
+            assert lengths[before.stop - 1] != lengths[after.start]   # a run is never split
+            run_end = after.start + int(np.sum(lengths[after.start:] == lengths[after.start]))
+            assert (run_end - before.start) * lengths[before.start] > PASS_CELLS   # the next run did not fit
+        for part in passes:
+            several_runs = lengths[part.start] != lengths[part.stop - 1]
+            assert not several_runs or (part.stop - part.start) * lengths[part.start] <= PASS_CELLS
+
+    def test_a_uniform_batch_is_one_pass(self):
+        assert split_passes(np.full(128, 48)) == [slice(0, 128)]
