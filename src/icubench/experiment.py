@@ -337,6 +337,38 @@ def _build_instances(cfg: ExperimentConfig, grids, metas, diagnoses, catalog) ->
     return cohort_mod.build_phenotype_instances(grids, diagnoses, catalog)
 
 
+def _stacked_windows(cfg: ExperimentConfig, dataset: Dataset, stays, normals, catalog):
+    """The task's instances as windows into one stacked grid: each instance
+    stay's hourly rows up to its last window end, stays in id order.
+    Returns (stay ids, starts, lengths, labels, rows), one entry per instance."""
+    grids = {sid: build_stay_grid(dataset.metas[sid], dataset.table.rows(sid), normals, cfg.max_hours)
+             for sid in stays}
+    instances = _build_instances(cfg, grids, dataset.metas, dataset.diagnoses, catalog)
+    if not instances:
+        raise DataError(f"task {cfg.task!r} produced no instances on this data")
+    stay = np.array([inst.stay_id for inst in instances], dtype=np.int64)
+    start = np.array([inst.start for inst in instances], dtype=np.int64)
+    end = np.array([inst.end for inst in instances], dtype=np.int64)
+    labels = np.stack([np.asarray(inst.label, dtype=np.float64) for inst in instances])
+    kept, which = np.unique(stay, return_inverse=True)
+    last = np.zeros(len(kept), dtype=np.int64)
+    np.maximum.at(last, which, end)
+    cut = [(grids[sid], n) for sid, n in zip(kept.tolist(), last.tolist())]
+    rows = HourlyGrid(numeric=np.concatenate([grid.numeric[:n] for grid, n in cut]),
+                      codes=np.concatenate([grid.codes[:n] for grid, n in cut]))
+    return stay, (np.cumsum(last) - last)[which] + start, end - start, labels, rows
+
+
+def _zscore(rows: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``rows`` normalized by the mean and std of the windows' rows, taken
+    back to back in window order, repeats included."""
+    seen = rows[np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())]
+    mean = seen.mean(axis=0)
+    std = seen.std(axis=0)
+    std[std == 0.0] = 1.0
+    return (rows - mean) / std
+
+
 def _fold_metrics(cfg: ExperimentConfig, scores: np.ndarray, labels: np.ndarray) -> tuple[dict, list[str]]:
     warnings: list[str] = []
     if cfg.task_kind == Task.LOS:
@@ -378,21 +410,13 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     dataset = load_dataset(data_dir)
 
     base, audit = base_cohort(dataset)
-    grids = {
-        stay_id: build_stay_grid(dataset.metas[stay_id], dataset.table.rows(stay_id), normals, cfg.max_hours)
-        for stay_id in base.included
-    }
-
     catalog = None
     map_path = Path(cfg.phenotype_map) if cfg.phenotype_map else data_dir / "phenotype_map.csv"
     if map_path.exists():
         catalog = PhenotypeCatalog.from_file(map_path)
+    stay, starts, lengths, labels, rows = _stacked_windows(cfg, dataset, base.included, normals, catalog)
 
-    instances = _build_instances(cfg, grids, dataset.metas, dataset.diagnoses, catalog)
-    if not instances:
-        raise DataError(f"task {cfg.task!r} produced no instances on this data")
-
-    instance_stays = sorted({inst.stay_id for inst in instances})
+    instance_stays = np.unique(stay).tolist()
     patients = sorted({dataset.metas[sid].patient_id for sid in instance_stays})
     fold_of = make_folds(patients, cfg.folds, cfg.seed)
 
@@ -403,32 +427,31 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
 
     for fold in range(cfg.folds):
         test_stays = {sid for sid in instance_stays if fold_of[dataset.metas[sid].patient_id] == fold}
-        train_stays = {sid for sid in instance_stays if sid not in test_stays}
+        train_stays = set(instance_stays) - test_stays
         train_patients = {dataset.metas[sid].patient_id for sid in train_stays}
         test_patients = {dataset.metas[sid].patient_id for sid in test_stays}
         _check(not (train_patients & test_patients), f"fold {fold}: train and test share patients")
 
         vocabs = build_vocabs(dataset.table, train_stays)
         _check(vocabs.source_stays <= train_stays, f"fold {fold}: vocabulary built from non-train stays")
-        encoded = {sid: encode_categoricals(grids[sid], vocabs) for sid in instance_stays}
 
-        train_pos = [i for i, inst in enumerate(instances) if inst.stay_id in train_stays]
-        test_pos = [i for i, inst in enumerate(instances) if inst.stay_id in test_stays]
-        _check(bool(train_pos and test_pos), f"fold {fold}: empty train or test side")
+        is_test = np.isin(stay, sorted(test_stays))
+        train_pos, test_pos = np.flatnonzero(~is_test), np.flatnonzero(is_test)
+        _check(bool(len(train_pos) and len(test_pos)), f"fold {fold}: empty train or test side")
 
-        train_list = [instances[p] for p in train_pos]
+        train_rows = train_pos
         if cfg.oversample_train and cfg.task_kind in _BINARY_TASKS:
-            train_list, warn = oversample(train_list, np.random.default_rng((cfg.seed, fold, 0x05)))
+            picks, warn = oversample(labels[train_pos], np.random.default_rng((cfg.seed, fold, 0x05)))
+            train_rows = train_pos[picks]
             if warn:
                 run_warnings.append(f"fold {fold}: {warn}")
 
-        zstats = None
-        if cfg.zscore and cfg.use_numeric:
-            zstats = _zscore_stats(train_list, grids)
-
-        train_set = _instance_set(train_list, grids, encoded, cfg, zstats)
-        test_list = [instances[p] for p in test_pos]
-        test_set = _instance_set(test_list, grids, encoded, cfg, zstats)
+        num = rows.numeric if cfg.use_numeric else None
+        if cfg.zscore and num is not None:
+            num = _zscore(num, starts[train_rows], lengths[train_rows])
+        cat = encode_categoricals(rows, vocabs) if cfg.use_categorical else None
+        train_set = InstanceSet(starts[train_rows], lengths[train_rows], num, cat, labels[train_rows])
+        test_set = InstanceSet(starts[test_pos], lengths[test_pos], num, cat, labels[test_pos])
 
         vocab_sizes = {name: len(vocabs.values[name]) for name in CATEGORICAL_VARIABLES} if cfg.use_categorical else None
         model = build_model(
@@ -454,17 +477,16 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
             dropout=cfg.dropout,
         )
         scores = predict_scores(model, test_set)
-        labels = np.stack([np.asarray(inst.label, dtype=np.float64) for inst in test_list])
-        metrics, fold_warnings = _fold_metrics(cfg, scores, labels)
+        metrics, fold_warnings = _fold_metrics(cfg, scores, test_set.labels)
         fold_results.append({
             "fold": fold,
-            "n_train": len(train_list),
+            "n_train": len(train_rows),
             "n_train_before_oversample": len(train_pos),
-            "n_test": len(test_list),
+            "n_test": len(test_pos),
             "metrics": metrics,
             "warnings": fold_warnings,
         })
-        fold_scores.append((scores, labels))
+        fold_scores.append((scores, test_set.labels))
         if cfg.save_models:
             out_dir.mkdir(parents=True, exist_ok=True)
             save_checkpoint(
@@ -490,33 +512,6 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         wall_clock_seconds=time.perf_counter() - started,
     )
     return report
-
-
-def _zscore_stats(train_list, grids):
-    chunks = [grids[inst.stay_id].numeric[inst.start:inst.end] for inst in train_list]
-    stacked = np.concatenate(chunks, axis=0)
-    mean = stacked.mean(axis=0)
-    std = stacked.std(axis=0)
-    std[std == 0.0] = 1.0
-    return mean, std
-
-
-def _instance_set(
-    instance_list: list[TaskInstance],
-    grids: Mapping[int, HourlyGrid],
-    encoded: Mapping[int, np.ndarray],
-    cfg: ExperimentConfig,
-    zstats=None,
-) -> InstanceSet:
-    num = cat = None
-    if cfg.use_numeric:
-        num = np.concatenate([grids[inst.stay_id].numeric[inst.start:inst.end] for inst in instance_list])
-        if zstats is not None:
-            num = (num - zstats[0]) / zstats[1]
-    if cfg.use_categorical:
-        cat = np.concatenate([encoded[inst.stay_id][inst.start:inst.end] for inst in instance_list])
-    labels = np.stack([np.asarray(inst.label, dtype=np.float64) for inst in instance_list])
-    return InstanceSet([inst.length for inst in instance_list], num, cat, labels)
 
 
 @dataclass(frozen=True)

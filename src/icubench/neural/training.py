@@ -39,23 +39,22 @@ PASS_CELLS = 1024
 
 @dataclass(eq=False)
 class InstanceSet:
-    """Instances' input windows in instance order, stored back to back:
-    instance i's hourly rows are ``offsets[i]:offsets[i + 1]`` of num and cat."""
+    """Instances as windows into hourly rows: instance i is rows
+    ``starts[i]:starts[i] + lengths[i]`` of num and cat.  Windows may
+    overlap and repeat, and sets may share their rows."""
 
+    starts: np.ndarray             # [n] first row of each window
     lengths: np.ndarray            # [n] window lengths
-    num: np.ndarray | None         # [sum(lengths), 13]
-    cat: np.ndarray | None         # [sum(lengths), 7] int
+    num: np.ndarray | None         # [rows, 13]
+    cat: np.ndarray | None         # [rows, 7] int
     labels: np.ndarray             # [n] or [n, 25]
-
-    def __post_init__(self):
-        self.lengths = np.asarray(self.lengths, dtype=np.int64)
-        self.offsets = np.concatenate(([0], np.cumsum(self.lengths)))
 
     @classmethod
     def uniform(cls, num: np.ndarray | None, cat: np.ndarray | None, labels: np.ndarray) -> "InstanceSet":
         """Instances of one length T from [n, T, ·] arrays."""
         n, T = (num if num is not None else cat).shape[:2]
         return cls(
+            np.arange(n) * T,
             np.full(n, T),
             None if num is None else num.reshape(n * T, -1),
             None if cat is None else cat.reshape(n * T, -1),
@@ -71,7 +70,7 @@ class InstanceSet:
         lengths = self.lengths[rows]
         T = int(lengths.max())
         real = real_cells(lengths, T)
-        src = np.where(real, (self.offsets[rows] - (T - lengths))[:, None] + np.arange(T), 0)
+        src = np.where(real, (self.starts[rows] - (T - lengths))[:, None] + np.arange(T), 0)
 
         def gather(flat):
             if flat is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .schema import (
     HourlyGrid,
     StayMeta,
     StayTable,
-    TaskInstance,
     grid_hours,
     parse_value,
 )
@@ -131,25 +130,20 @@ def encode_categoricals(grid: HourlyGrid, vocabs: Vocabs) -> np.ndarray:
     return vocabs.remap[_CATEGORICAL_COLUMNS, grid.codes]
 
 
-def oversample(
-    instances: Sequence[TaskInstance],
-    rng: np.random.Generator,
-) -> tuple[list[TaskInstance], str | None]:
-    """Balance a binary-labeled instance list by duplicating the minority class.
+def oversample(labels: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, str | None]:
+    """Positions into binary 0/1 ``labels`` that balance them by repeating the minority class.
 
-    Originals are all retained; duplicates are drawn uniformly with
-    replacement, so the result is deterministic for a seeded generator.
-    Single-class input is returned unchanged along with a warning string.
+    Every position comes once, in order, then the repeats, drawn uniformly
+    with replacement, so the result is deterministic for a seeded
+    generator.  Single-class input gives every position once, along with a
+    warning string.
     """
-    try:
-        pos = [i for i in instances if float(i.label) == 1.0]
-        neg = [i for i in instances if float(i.label) == 0.0]
-    except TypeError as exc:
-        raise ConfigError("oversample requires binary 0/1 labels") from exc
-    if len(pos) + len(neg) != len(instances):
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or not np.isin(labels, (0.0, 1.0)).all():
         raise ConfigError("oversample requires binary 0/1 labels")
-    if not pos or not neg:
-        return list(instances), "single-class input; oversampling skipped"
+    every = np.arange(len(labels))
+    pos, neg = every[labels == 1.0], every[labels == 0.0]
+    if not len(pos) or not len(neg):
+        return every, "single-class input; oversampling skipped"
     minority, n_extra = (pos, len(neg) - len(pos)) if len(pos) < len(neg) else (neg, len(pos) - len(neg))
-    extras = [minority[i] for i in rng.integers(0, len(minority), size=n_extra)]
-    return list(instances) + extras, None
+    return np.concatenate((every, minority[rng.integers(0, len(minority), size=n_extra)])), None

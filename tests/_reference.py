@@ -268,3 +268,18 @@ def ref_make_epoch_batches(groups, batch_size: int, rng: np.random.Generator):
             )
     order = rng.permutation(len(batches))
     return [batches[i] for i in order]
+
+
+# --- Windows as they were stored when every instance held a copy of its
+# rows: each window copied out of the shared rows, then end-aligned in a
+# [n, T, ·] block whose cells before a window are zero.
+
+def ref_window_copies(rows: np.ndarray, starts, lengths, picks) -> np.ndarray:
+    """The windows ``picks`` (positions into starts/lengths, repeats allowed)
+    of ``rows``, copied one by one and end-aligned with zero padding."""
+    copies = [rows[starts[p]:starts[p] + lengths[p]].copy() for p in picks]
+    T = max(len(c) for c in copies)
+    out = np.zeros((len(copies), T) + rows.shape[1:], dtype=rows.dtype)
+    for r, copy in enumerate(copies):
+        out[r, T - len(copy):] = copy
+    return out

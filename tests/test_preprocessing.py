@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _reference import ref_bin
+from icubench.errors import ConfigError
 from icubench.ingestion import LAB, stay_table
 from icubench.preprocessing import (
     bin_hourly,
@@ -21,7 +22,6 @@ from icubench.schema import (
     VARIABLES,
     DischargeStatus,
     StayMeta,
-    TaskInstance,
     normal_values,
 )
 
@@ -192,41 +192,46 @@ class TestVocabs:
 
 
 class TestOversample:
-    def _insts(self, n_neg, n_pos):
-        out = [TaskInstance(stay_id=i, start=0, end=1, label=0.0) for i in range(n_neg)]
-        out += [TaskInstance(stay_id=1000 + i, start=0, end=1, label=1.0) for i in range(n_pos)]
-        return out
+    def _labels(self, n_neg, n_pos):
+        return np.array([0.0] * n_neg + [1.0] * n_pos)
 
     def test_three_one_becomes_three_three(self):
-        out, warn = oversample(self._insts(3, 1), np.random.default_rng(0))
+        labels = self._labels(3, 1)
+        picks, warn = oversample(labels, np.random.default_rng(0))
         assert warn is None
-        labels = [i.label for i in out]
-        assert labels.count(0.0) == 3 and labels.count(1.0) == 3
+        out = labels[picks].tolist()
+        assert out.count(0.0) == 3 and out.count(1.0) == 3
 
     def test_balanced_unchanged(self):
-        insts = self._insts(2, 2)
-        out, _ = oversample(insts, np.random.default_rng(0))
-        assert out == insts
+        picks, _ = oversample(self._labels(2, 2), np.random.default_rng(0))
+        assert picks.tolist() == [0, 1, 2, 3]
 
     def test_large_case_deterministic(self):
-        insts = self._insts(1000, 100)
-        out1, _ = oversample(insts, np.random.default_rng(42))
-        out2, _ = oversample(insts, np.random.default_rng(42))
-        labels = [i.label for i in out1]
-        assert labels.count(0.0) == 1000 and labels.count(1.0) == 1000
-        assert [i.stay_id for i in out1] == [i.stay_id for i in out2]
+        labels = self._labels(1000, 100)
+        picks1, _ = oversample(labels, np.random.default_rng(42))
+        picks2, _ = oversample(labels, np.random.default_rng(42))
+        out = labels[picks1].tolist()
+        assert out.count(0.0) == 1000 and out.count(1.0) == 1000
+        assert picks1.tolist() == picks2.tolist()
 
     def test_single_class_warns(self):
-        insts = self._insts(3, 0)
-        out, warn = oversample(insts, np.random.default_rng(0))
-        assert out == insts and warn is not None
+        picks, warn = oversample(self._labels(3, 0), np.random.default_rng(0))
+        assert picks.tolist() == [0, 1, 2] and warn is not None
 
     def test_never_deletes(self):
-        insts = self._insts(5, 2)
-        out, _ = oversample(insts, np.random.default_rng(1))
-        ids = [i.stay_id for i in out]
-        for inst in insts:
-            assert ids.count(inst.stay_id) >= 1
+        labels = self._labels(5, 2)
+        picks, _ = oversample(labels, np.random.default_rng(1))
+        for position in range(len(labels)):
+            assert picks.tolist().count(position) >= 1
+
+    def test_originals_come_first_in_order(self):
+        picks, _ = oversample(self._labels(5, 2), np.random.default_rng(1))
+        assert picks[:7].tolist() == list(range(7)) and set(picks[7:].tolist()) <= {5, 6}
+
+    @pytest.mark.parametrize("labels", [np.zeros((4, 25)), np.array([0.0, 1.0, 0.5]), np.array([0.0, np.nan])])
+    def test_labels_that_are_not_binary_are_config_errors(self, labels):
+        with pytest.raises(ConfigError, match="binary 0/1 labels"):
+            oversample(labels, np.random.default_rng(0))
 
 
 def _meta(stay_id, gender="Female", hours=3):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import ref_make_epoch_batches
+from _reference import ref_make_epoch_batches, ref_window_copies
 from icubench.neural import build_model, grad_check
 from icubench.neural.models import real_cells
 from icubench.neural.training import (
@@ -32,6 +32,7 @@ LENGTHS = [7, 7, 5, 3, 3, 1]   # longest first, three runs and a single
 
 
 def ragged_set(rng, task, lengths=LENGTHS, vocabs=VOCABS):
+    lengths = np.asarray(lengths)
     n, cells = len(lengths), int(np.sum(lengths))
     num = rng.normal(size=(cells, N_NUMERIC))
     cat = np.stack([rng.integers(0, size, size=cells) for size in vocabs.values()], axis=-1)
@@ -41,7 +42,7 @@ def ragged_set(rng, task, lengths=LENGTHS, vocabs=VOCABS):
         labels = rng.uniform(0.0, 3.0, size=n)
     else:
         labels = np.array([1.0, 0.0] * (n // 2))
-    return InstanceSet(lengths, num, cat, labels)
+    return InstanceSet(np.cumsum(lengths) - lengths, lengths, num, cat, labels)
 
 
 def one_pass(data):
@@ -55,10 +56,26 @@ class TestWindowPass:
         assert num.shape == (6, 7, N_NUMERIC) and cat.shape == (6, 7, len(VOCABS))
         assert lengths.tolist() == LENGTHS and np.array_equal(labels, data.labels)
         for r, length in enumerate(LENGTHS):
-            lo, hi = data.offsets[r], data.offsets[r + 1]
+            lo, hi = data.starts[r], data.starts[r] + length
             assert np.array_equal(num[r, 7 - length:], data.num[lo:hi])
             assert np.array_equal(cat[r, 7 - length:], data.cat[lo:hi])
             assert not num[r, :7 - length].any() and not cat[r, :7 - length].any()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_shared_rows_give_the_copied_windows(self, draw):
+        # overlapping windows (decompensation) and repeated positions (oversampling) into one row array
+        n_rows = draw.draw(st.integers(1, 30))
+        starts = np.array(draw.draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=10)))
+        lengths = np.array([draw.draw(st.integers(1, n_rows - s)) for s in starts.tolist()])
+        picks = np.array(draw.draw(st.lists(st.integers(0, len(starts) - 1), min_size=1, max_size=16)))
+        rng = np.random.default_rng(n_rows)
+        num, cat = rng.normal(size=(n_rows, N_NUMERIC)), rng.integers(1, 5, size=(n_rows, len(VOCABS)))
+        data = InstanceSet(starts, lengths, num, cat, np.arange(len(starts), dtype=float))
+        got_num, got_cat, labels, got_lengths = data.window_pass(picks)
+        assert np.array_equal(got_num, ref_window_copies(num, starts, lengths, picks))
+        assert np.array_equal(got_cat, ref_window_copies(cat, starts, lengths, picks))
+        assert labels.tolist() == picks.tolist() and got_lengths.tolist() == lengths[picks].tolist()
 
     def test_uniform_set_round_trips(self):
         rng = np.random.default_rng(1)
