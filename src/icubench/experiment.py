@@ -3,9 +3,12 @@ under patient-level k-fold cross-validation, then emit reports.
 
 Leak rules enforced at runtime on every run: folds partition patients (all
 stays of a patient share a fold), vocabularies and oversampling see
-training folds only, and optional normalization statistics come from the
-training side.  Reports are deterministic: report.json carries no timing,
-so identical seeds reproduce it byte for byte.
+training folds only.  Optional z-score statistics come from the training
+windows' rows (oversampled repeats included).  The instances are windows
+into one stacked row array per run; each fold normalizes those shared rows
+once with its statistics and encodes their categories once with its
+vocabularies, test rows included.  Reports are deterministic: report.json
+carries no timing, so identical seeds reproduce it byte for byte.
 """
 
 from __future__ import annotations
@@ -98,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError(f"variables must be one of {VARIABLE_CHOICES}, got {self.variables!r}")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.embed_init not in ("random", "identity"):
             raise ConfigError(f"embed_init must be 'random' or 'identity', got {self.embed_init!r}")
         if not 0.0 <= self.dropout < 1.0:
@@ -427,7 +432,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
 
     for fold in range(cfg.folds):
         test_stays = {sid for sid in instance_stays if fold_of[dataset.metas[sid].patient_id] == fold}
-        train_stays = set(instance_stays) - test_stays
+        train_stays = {sid for sid in instance_stays if sid not in test_stays}
         train_patients = {dataset.metas[sid].patient_id for sid in train_stays}
         test_patients = {dataset.metas[sid].patient_id for sid in test_stays}
         _check(not (train_patients & test_patients), f"fold {fold}: train and test share patients")

@@ -1,5 +1,11 @@
 """Mini-batch training and prediction over variable-length windows.
 
+An ``InstanceSet`` holds windows, not copies: instance i is rows
+``starts[i]:starts[i] + lengths[i]`` of its ``num`` and ``cat`` arrays.
+Windows may overlap (decompensation and LoS roll 12-hour windows every 6
+hours) and repeat (oversampling), and a fold's train and test sets share
+one row array; each pass gathers its rows by index.
+
 Batches are length buckets.  Each epoch the instances are permuted, sorted
 stably by window length, cut into ``batch_size`` chunks, and the chunks are
 permuted, so every Adam step sees up to ``batch_size`` rows of similar
@@ -15,7 +21,11 @@ models (see ``models.py`` and ``lstm.py``) treat the steps before as
 padding that adds nothing to a row's output or gradient.  The passes'
 losses and gradients are weighted by rows / batch rows and summed into one
 Adam step, so the step is that of the whole batch.  ``predict_scores``
-applies the same pass rule to the whole instance list.
+applies the same pass rule to the whole instance list, and also cuts a
+length run larger than ``PASS_CELLS`` cells into chunks of
+``PASS_CELLS // T`` rows (at least one), so prediction memory does not
+grow with the test fold.  A chunk boundary can move a float32 score by an
+ulp.
 
 Why the budget: a BiLSTM training pass peaks at about 5.9 KB per cell in
 float32 (``tracemalloc``, input width 62, hidden 64), about 6 MB per
@@ -153,15 +163,19 @@ def train_model(
 
 
 def predict_scores(model: BaseModel, data: InstanceSet) -> np.ndarray:
-    """Scores in instance order, float64, predicted pass by pass."""
+    """Scores in instance order, float64, predicted pass by pass; a length
+    run too large for one pass is cut into chunks of PASS_CELLS // T rows."""
     if len(data) == 0:
         return np.zeros((0,))
     rows = _longest_first(data, np.arange(len(data)))
     out = None
     for part in split_passes(data.lengths[rows]):
-        num, cat, _, lengths = data.window_pass(rows[part])
-        preds = model.predict(num, cat, lengths=lengths)
-        if out is None:
-            out = np.full((len(data), 1 if preds.ndim == 1 else preds.shape[1]), np.nan)
-        out[rows[part]] = preds.reshape(len(preds), -1)
+        step = max(1, PASS_CELLS // int(data.lengths[rows[part.start]]))
+        for lo in range(part.start, part.stop, step):
+            chunk = rows[lo:min(lo + step, part.stop)]
+            num, cat, _, lengths = data.window_pass(chunk)
+            preds = model.predict(num, cat, lengths=lengths)
+            if out is None:
+                out = np.full((len(data), 1 if preds.ndim == 1 else preds.shape[1]), np.nan)
+            out[chunk] = preds.reshape(len(preds), -1)
     return out[:, 0] if out.shape[1] == 1 else out

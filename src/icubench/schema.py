@@ -260,7 +260,3 @@ class TaskInstance:
     def __post_init__(self):
         if not self.end > self.start >= 0:
             raise ConfigError(f"stay {self.stay_id}: empty or negative window [{self.start}, {self.end})")
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start

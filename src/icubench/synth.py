@@ -116,6 +116,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_patients <= 0:
             raise ConfigError("n_patients must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         lo, hi = self.hours_range
         if not (1 <= lo <= hi):
             raise ConfigError("hours_range must satisfy 1 <= min <= max")

@@ -25,6 +25,10 @@ class TestSynthCommand:
         code = main(["synth", "--patients", "10", "--out", str(tmp_path / "d"), "--mortality-rate", "2.0"])
         assert code == 2
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        assert main(["synth", "--patients", "10", "--seed", "-1", "--out", str(tmp_path / "d")]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
 
 class TestCohortCommand:
     def test_prints_audit(self, small_dump, capsys):
@@ -195,6 +199,12 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["config"]["epochs"] == 1
+
+    def test_negative_seed_is_config_error(self, small_dump, tmp_path, capsys):
+        code = main(["run", "--task", "los", "--model", "lr", "--data-dir", str(small_dump), "--seed", "-1",
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_missing_task_is_config_error(self, small_dump, tmp_path):
         assert main(["run", "--data-dir", str(small_dump), "--out", str(tmp_path / "o")]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 
@@ -9,6 +10,8 @@ from icubench.experiment import (
     EvalReport,
     ExperimentConfig,
     _check,
+    _stacked_windows,
+    base_cohort,
     compare,
     config_from_sources,
     make_folds,
@@ -19,7 +22,8 @@ from icubench.experiment import (
     summarize_cohort,
     write_reports,
 )
-from icubench.schema import DischargeStatus, StayMeta
+from icubench.ingestion import load_dataset
+from icubench.schema import DischargeStatus, StayMeta, normal_values
 
 
 class TestMakeFolds:
@@ -171,6 +175,45 @@ class TestRunExperiment:
     def test_dropout_config_trains(self, small_dump, tmp_path):
         report = run_experiment(self._cfg(small_dump, tmp_path, model="ann", dropout=0.2))
         assert report.aggregate_mean["mae"] is not None
+
+
+class TestNormalizationLeak:
+    @staticmethod
+    def _edit_first_row(path, stay, name, value):
+        """Set the value of ``stay``'s first ``name`` row in its first 12 hours (inside its first LoS window)."""
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for i, line in enumerate(lines[1:], start=1):
+            sid, offset, variable, old = line.rstrip("\n").split(",")
+            if int(sid) == stay and variable == name and 0 <= int(offset) < 12 * 60 and old != value:
+                lines[i] = f"{sid},{offset},{variable},{value}\n"
+                path.write_text("".join(lines), encoding="utf-8")
+                return
+        raise AssertionError(f"stay {stay} has no early {name} row")
+
+    def test_one_test_stay_moves_no_other_test_score(self, small_dump, tmp_path):
+        # Statistics and vocabularies come from training windows only, while test rows are
+        # normalized inside the array they share with training rows: editing one test stay
+        # (a numeric value, still in range, and a GCS text seen nowhere else) may move only its own scores.
+        cfg = ExperimentConfig(task="los", model="lr", data_dir=str(small_dump), out_dir=str(tmp_path / "o"),
+                               folds=3, epochs=1, seed=5, zscore=True)
+        dataset = load_dataset(small_dump)
+        base, _ = base_cohort(dataset)
+        stays = _stacked_windows(cfg, dataset, base.included, normal_values(), None)[0]
+        fold_of = make_folds(sorted({dataset.metas[s].patient_id for s in stays.tolist()}), 3, 5)
+        fold_of_stay = np.array([fold_of[dataset.metas[s].patient_id] for s in stays.tolist()])
+        stay = int(stays[0])
+        fold = fold_of_stay[0]
+
+        edited = shutil.copytree(small_dump, tmp_path / "edited")
+        self._edit_first_row(edited / "lab.csv", stay, "Glucose", "2000")
+        self._edit_first_row(edited / "nurseCharting.csv", stay, "Glasgow Coma Score Total", "9.5")
+        before = run_experiment(cfg).fold_scores[fold][0]
+        after = run_experiment(dataclasses.replace(cfg, data_dir=str(edited))).fold_scores[fold][0]
+
+        own = stays[fold_of_stay == fold] == stay
+        assert own.sum() >= 1 and (~own).sum() >= 20
+        assert np.array_equal(before[~own], after[~own])
+        assert not np.array_equal(before[own], after[own])
 
 
 class TestCompare:

@@ -173,6 +173,24 @@ class TestRaggedPass:
             num, cat, _, _ = data.window_pass(np.array([r]))
             assert np.max(np.abs(scores[r] - model.predict(num, cat)[0])) < 1e-12
 
+    def test_prediction_passes_stay_within_the_cell_budget(self, monkeypatch):
+        # 600 windows of one length are one run; predicting it whole would take 14,400 cells at once
+        rng = np.random.default_rng(8)
+        data = ragged_set(rng, Task.MORTALITY, lengths=np.full(600, 24))
+        model = build_model("bilstm", Task.MORTALITY, rng, vocab_sizes=VOCABS, hidden=8)
+        whole = model.predict
+        cells = []
+
+        def counted(num, cat, *, lengths=None):
+            cells.append(num.shape[0] * num.shape[1])
+            return whole(num, cat, lengths=lengths)
+
+        monkeypatch.setattr(model, "predict", counted)
+        scores = predict_scores(model, data)
+        assert max(cells) <= PASS_CELLS and sum(cells) == 600 * 24
+        num, cat, _, lengths = one_pass(data)
+        assert np.max(np.abs(scores - whole(num, cat, lengths=lengths))) <= 1e-6
+
 
 class TestUniformDataUnchanged:
     @pytest.mark.parametrize("n, batch_size", [(1, 4), (7, 3), (128, 128), (300, 128), (513, 64)])
