@@ -7,7 +7,9 @@ training folds only.  Optional z-score statistics come from the training
 windows' rows (oversampled repeats included).  The instances are windows
 into one stacked row array per run; each fold normalizes those shared rows
 once with its statistics and encodes their categories once with its
-vocabularies, test rows included.  Reports are deterministic: report.json
+vocabularies, test rows included.  The StayTable is released once the
+windows are stacked: the folds build their vocabularies from its
+``categorical_index``.  Reports are deterministic: report.json
 carries no timing, so identical seeds reproduce it byte for byte.
 """
 
@@ -31,7 +33,7 @@ from .neural import build_model, predict_scores, train_model
 from .neural.checkpoint import save_checkpoint, schema_hash
 from .neural.training import InstanceSet
 from .phenotypes import PhenotypeCatalog
-from .preprocessing import build_stay_grid, build_vocabs, encode_categoricals, oversample
+from .preprocessing import build_stay_grid, build_vocabs, categorical_index, encode_categoricals, oversample
 from .schema import (
     CATEGORICAL_VARIABLES,
     DEFAULT_MAX_GRID_HOURS,
@@ -420,9 +422,11 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     if map_path.exists():
         catalog = PhenotypeCatalog.from_file(map_path)
     stay, starts, lengths, labels, rows = _stacked_windows(cfg, dataset, base.included, normals, catalog)
+    metas, vocab_index = dataset.metas, categorical_index(dataset.table)
+    del dataset   # frees the StayTable: the folds read only metas, the stacked rows and vocab_index
 
     instance_stays = np.unique(stay).tolist()
-    patients = sorted({dataset.metas[sid].patient_id for sid in instance_stays})
+    patients = sorted({metas[sid].patient_id for sid in instance_stays})
     fold_of = make_folds(patients, cfg.folds, cfg.seed)
 
     fold_results: list[dict] = []
@@ -431,13 +435,13 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     out_dir = Path(cfg.out_dir)
 
     for fold in range(cfg.folds):
-        test_stays = {sid for sid in instance_stays if fold_of[dataset.metas[sid].patient_id] == fold}
+        test_stays = {sid for sid in instance_stays if fold_of[metas[sid].patient_id] == fold}
         train_stays = {sid for sid in instance_stays if sid not in test_stays}
-        train_patients = {dataset.metas[sid].patient_id for sid in train_stays}
-        test_patients = {dataset.metas[sid].patient_id for sid in test_stays}
+        train_patients = {metas[sid].patient_id for sid in train_stays}
+        test_patients = {metas[sid].patient_id for sid in test_stays}
         _check(not (train_patients & test_patients), f"fold {fold}: train and test share patients")
 
-        vocabs = build_vocabs(dataset.table, train_stays)
+        vocabs = build_vocabs(vocab_index, train_stays)
         _check(vocabs.source_stays <= train_stays, f"fold {fold}: vocabulary built from non-train stays")
 
         is_test = np.isin(stay, sorted(test_stays))

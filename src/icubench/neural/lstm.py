@@ -20,9 +20,11 @@ begun at step t, which is a prefix of the batch.  Both passes touch only
 that prefix (``h[:k] @ Wh.T``, the cell update, ``dz``); the other rows keep
 h = c = 0 and a zero gate gradient, so a row's states and gradients are
 those of the row run alone, and padding costs only the time-parallel GEMMs
-over its cells.  A BiLSTM training pass peaks at about 5.9 KB per cell in
-float32 (``tracemalloc``, input width 62, hidden 64), so about 6 MB for a
-pass of the 1,024 cells that ``training.PASS_CELLS`` allows.
+over its cells.  A BiLSTM training pass peaks at about 5.5 KB per cell in
+float32 (``tracemalloc``, input width 62, hidden 64), so about 11 MB for a
+pass of the 2,048 cells that ``training.PASS_CELLS`` allows; the input
+gradient, which only a trainable embedding reads, is skipped with
+``input_grad=False``.
 
 The forward cache is time-major, so each step t = 0..T-1 reads and writes
 contiguous ``[B, ·]`` rows (h_{-1} = c_{-1} = 0):
@@ -109,10 +111,13 @@ def lstm_forward(x: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray, *
     return hs.transpose(1, 0, 2), cache
 
 
-def lstm_backward(dh_last: np.ndarray, cache, Wx: np.ndarray, Wh: np.ndarray, *, active=None):
+def lstm_backward(dh_last: np.ndarray, cache, Wx: np.ndarray, Wh: np.ndarray, *, active=None,
+                  input_grad: bool = True):
     """BPTT for one direction; dh_last [B, H] is the gradient w.r.t. the last h_t.
 
-    ``active`` must be the forward pass's; inactive rows get a zero gate gradient.
+    Returns (dx [B, T, D], parameter gradients); dx is None when
+    ``input_grad`` is False.  ``active`` must be the forward pass's;
+    inactive rows get a zero gate gradient.
     """
     x, hs, gates, c_prev, tanh_c = cache["x"], cache["hs"], cache["gates"], cache["c_prev"], cache["tanh_c"]
     B, T, D = x.shape
@@ -147,5 +152,5 @@ def lstm_backward(dh_last: np.ndarray, cache, Wx: np.ndarray, Wh: np.ndarray, *,
     del h_prev   # freed before dx exists, so the two never add to peak memory
     dWx = flat_dz.T @ x.reshape(B * T, D)
     db = dz_all.sum(axis=(0, 1))
-    dx = (flat_dz @ Wx).reshape(B, T, D)
+    dx = (flat_dz @ Wx).reshape(B, T, D) if input_grad else None
     return dx, {"Wx": dWx, "Wh": dWh, "b": db}

@@ -150,7 +150,7 @@ class BaseModel:
     def _core(self, x, lengths=None):  # -> (rep, cache, relu_preacts)
         raise NotImplementedError
 
-    def _core_backward(self, drep, cache):  # -> (dx, grads)
+    def _core_backward(self, drep, cache, input_grad=True):  # -> (dx, grads); dx may be None if not input_grad
         raise NotImplementedError
 
     def predict(self, num, cat, *, lengths=None) -> np.ndarray:
@@ -178,7 +178,8 @@ class BaseModel:
         drep, grads = self._head_backward(z, preds, dpreds, rep)
         if mask is not None:
             drep = drep * mask
-        dx, core_grads = self._core_backward(drep, cache)
+        # only a trainable embedding reads the input gradient
+        dx, core_grads = self._core_backward(drep, cache, input_grad=self.emb is not None and self.emb.trainable)
         grads.update(core_grads)
         grads.update(self._emb_grads(dx, cat, lengths))
         return loss, grads
@@ -198,7 +199,7 @@ class LinearModel(BaseModel):
         counts = _row_lengths(x, lengths).astype(x.dtype)[:, None]
         return x.sum(axis=1) / counts, {"counts": counts, "shape": x.shape}, []
 
-    def _core_backward(self, drep, cache):
+    def _core_backward(self, drep, cache, input_grad=True):
         return np.broadcast_to((drep / cache["counts"])[:, None, :], cache["shape"]), {}
 
 
@@ -221,7 +222,7 @@ class AnnModel(BaseModel):
         z1 = pooled @ self.params["hidden/W"].T + self.params["hidden/b"]
         return relu(z1), {"pooled": pooled, "z1": z1, "counts": counts, "shape": x.shape}, [z1]
 
-    def _core_backward(self, drep, cache):
+    def _core_backward(self, drep, cache, input_grad=True):
         dz1 = drep * (cache["z1"] > 0.0)
         grads = {"hidden/W": dz1.T @ cache["pooled"], "hidden/b": dz1.sum(axis=0)}
         dpooled = dz1 @ self.params["hidden/W"]
@@ -266,15 +267,16 @@ class BilstmModel(BaseModel):
             caches.append(cache)
         return np.concatenate(summary, axis=1), (caches, active, reverse), []
 
-    def _core_backward(self, drep, cache):
+    def _core_backward(self, drep, cache, input_grad=True):
         caches, active, reverse = cache
         p = self.params
         grads, dxs = {}, []
         for tag, dh_last, c in zip(self.directions, np.split(drep, 2, axis=1), caches):
-            dx, g = lstm.lstm_backward(dh_last, c, p[f"{tag}/Wx"], p[f"{tag}/Wh"], active=active)
+            dx, g = lstm.lstm_backward(dh_last, c, p[f"{tag}/Wx"], p[f"{tag}/Wh"], active=active,
+                                       input_grad=input_grad)
             grads.update({f"{tag}/{name}": v for name, v in g.items()})
             dxs.append(dx)
-        return dxs[0] + _cells(dxs[1], reverse), grads
+        return (dxs[0] + _cells(dxs[1], reverse) if input_grad else None), grads
 
 
 def build_model(

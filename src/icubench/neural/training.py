@@ -27,11 +27,16 @@ length run larger than ``PASS_CELLS`` cells into chunks of
 grow with the test fold.  A chunk boundary can move a float32 score by an
 ulp.
 
-Why the budget: a BiLSTM training pass peaks at about 5.9 KB per cell in
-float32 (``tracemalloc``, input width 62, hidden 64), about 6 MB per
-1,024-cell pass.  On the 500-patient phenotyping benchmark dump, whole
-128-row batches as single passes raised the run's peak RSS from 69 MB
-(batches of one exact length) to 125 MB; 1,024-cell passes peak at 70.5.
+Why the budget: a BiLSTM training pass peaks at about 5.5 KB per cell in
+float32 (``tracemalloc``, input width 62, hidden 64, no trainable
+embedding), about 11 MB per 2,048-cell pass.  On the 500-patient
+phenotyping benchmark dump, whole 128-row batches as single passes raised
+the run's peak RSS from 69 MB (batches of one exact length) to 125 MB.
+``run_experiment`` frees the raw stay table before the folds, and that
+pays for 2,048 cells: on the seed-1 dump the run peaks at 65.9 MB, against
+71.1 MB with 1,024-cell passes and the table held.  With the table held,
+2,048 cells peaked at 74.5 MB and 4,096 at 86.8 MB; with it freed, 3,072
+cells peak at 72.8 MB.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .adam import Adam
 from .models import BaseModel, real_cells
 
 #: Most cells (rows x longest length) in a pass, unless one length run alone is larger.
-PASS_CELLS = 1024
+PASS_CELLS = 2048
 
 
 @dataclass(eq=False)

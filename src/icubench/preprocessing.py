@@ -103,12 +103,37 @@ class Vocabs:
     remap: np.ndarray   # [k, string id of the StayTable] -> index in the k-th vocabulary, 0 when unseen
 
 
+def categorical_index(table: StayTable) -> StayTable:
+    """All of ``table`` that build_vocabs reads, one row per distinct fact.
+
+    Keeps each stay's distinct (variable, code) pairs with a code above 0
+    plus one row with code -1 per stay, so every stay of ``table`` is still
+    present; offsets are 0 and values NaN.  ``build_vocabs(index, stays)``
+    equals ``build_vocabs(table, stays)`` for any ``stays``.
+    """
+    first = np.ones(len(table.stay), dtype=bool)
+    first[1:] = table.stay[1:] != table.stay[:-1]   # the table is sorted by stay
+    stays = table.stay[first]
+    seen = np.flatnonzero(table.code > 0)
+    n_strings = len(table.strings)
+    # key = stay rank * width + pair; pair 0 marks the stay, pair > 0 is (variable, code) as build_vocabs packs it
+    width = N_CATEGORICAL * n_strings
+    pair = (table.variable[seen] - N_NUMERIC).astype(np.int64) * n_strings + table.code[seen]
+    keys = np.concatenate((np.arange(len(stays)) * width, (np.cumsum(first) - 1)[seen] * width + pair))
+    rank, pair = np.divmod(np.unique(keys), width)
+    variable, code = np.divmod(pair, n_strings)
+    return StayTable(stay=stays[rank], offset=np.zeros(len(rank), dtype=np.int64),
+                     variable=(variable + N_NUMERIC).astype(np.int8), value=np.full(len(rank), np.nan),
+                     code=np.where(pair > 0, code, -1).astype(np.int32), strings=table.strings)
+
+
 def build_vocabs(table: StayTable, stays: Iterable[int]) -> Vocabs:
     """Collect the distinct categorical values of the given stays' rows (training folds only).
 
     Rows at any offset count, the demographic rows included.  Each
     vocabulary is the sorted distinct values with "unknown" prepended at
-    index 0; values unseen here map to index 0 at encode time.
+    index 0; values unseen here map to index 0 at encode time.  ``table``
+    may be the full StayTable or its categorical_index.
     """
     picked = np.isin(table.stay, np.fromiter(stays, dtype=np.int64))
     seen = picked & (table.code > 0)

@@ -3,9 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icubench.cli import main
 from icubench.ingestion import TABLE_FILES, load_dataset
+from icubench.preprocessing import build_vocabs, categorical_index
 from icubench.synth import SynthConfig, generate
 
 #: Cell contents that sit on the edge of what int() and float() accept.
@@ -145,6 +148,23 @@ class TestEdgeTokenFuzz:
             assert read == kept + report.rows_unmapped_variable.get(table, 0) + report.rows_malformed.get(table, 0)
             assert report.rows_out_of_range.get(table, 0) <= kept
         assert report.rows_out_of_range["lab"] and report.rows_out_of_range["nursecharting"]
+
+    @pytest.fixture(scope="class")
+    def fuzzed_table(self, fuzzed_dump):
+        return load_dataset(fuzzed_dump).table
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_vocabs_from_the_categorical_index_equal_vocabs_from_the_table(self, fuzzed_table, data):
+        # mutated stay ids leave stays with a few stray rows, such as 1_000, which int() reads as 1000
+        index = categorical_index(fuzzed_table)
+        every = set(fuzzed_table.stay.tolist())
+        drawn = data.draw(st.sets(st.sampled_from(sorted(every))))
+        for stays in (drawn, every - drawn):
+            want, got = build_vocabs(fuzzed_table, stays), build_vocabs(index, stays)
+            assert got.values == want.values
+            assert np.array_equal(got.remap, want.remap)
+            assert got.source_stays == want.source_stays
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")   # an overflow in training is not a clean exit 0
     @pytest.mark.parametrize("task, model", [("mortality24", "lr"), ("decompensation", "lr"), ("los", "ann"),

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import shutil
+import weakref
 
 import numpy as np
 import pytest
 
+from icubench import experiment
 from icubench.errors import ConfigError, IcubenchError
 from icubench.experiment import (
     EvalReport,
@@ -171,6 +173,26 @@ class TestRunExperiment:
         ckpts = sorted((tmp_path / "out").glob("model_fold*.ckpt"))
         assert len(ckpts) == 2
         assert ckpts[0].read_bytes()[:4] == MAGIC
+
+    def test_stay_table_is_released_before_training(self, small_dump, tmp_path, monkeypatch):
+        # once the windows are stacked the folds read only a categorical index, not the raw rows
+        tables, trained = [], []
+        real_train = experiment.train_model
+
+        def load(data_dir):
+            dataset = load_dataset(data_dir)
+            tables.append(weakref.ref(dataset.table))
+            return dataset
+
+        def train(*args, **kwargs):
+            assert tables and tables[0]() is None, "the StayTable is still alive in training"
+            trained.append(True)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "load_dataset", load)
+        monkeypatch.setattr(experiment, "train_model", train)
+        run_experiment(self._cfg(small_dump, tmp_path, task="phenotyping", model="lr", folds=2, epochs=1))
+        assert len(trained) == 2
 
     def test_dropout_config_trains(self, small_dump, tmp_path):
         report = run_experiment(self._cfg(small_dump, tmp_path, model="ann", dropout=0.2))

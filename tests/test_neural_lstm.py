@@ -164,3 +164,39 @@ class TestBackwardNumerically:
             x.flat[flat] = orig
             fd = (up - down) / (2 * eps)
             assert dx.flat[flat] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+class TestInputGradient:
+    def test_skipping_it_leaves_the_weight_gradients_bitwise_equal(self):
+        rng = np.random.default_rng(13)
+        params = random_direction(rng, 5, 4)
+        x = rng.normal(size=(3, 6, 5))
+        _, cache = lstm_forward(x, params["Wx"], params["Wh"], params["b"], active=[2, 2, 3, 3, 3, 3])
+        dh = rng.normal(size=(3, 4))
+        dx, want = lstm_backward(dh, cache, params["Wx"], params["Wh"], active=[2, 2, 3, 3, 3, 3])
+        none, got = lstm_backward(dh, cache, params["Wx"], params["Wh"], active=[2, 2, 3, 3, 3, 3],
+                                  input_grad=False)
+        assert dx.shape == x.shape and none is None
+        assert all(np.array_equal(got[name], want[name]) for name in want)
+
+    @pytest.mark.parametrize("encoding, frozen, input_grad", [
+        ("ohe", False, False), ("embedding", True, False), ("embedding", False, True), (None, False, False)])
+    def test_only_a_trainable_embedding_asks_for_it(self, monkeypatch, encoding, frozen, input_grad):
+        from icubench.neural import build_model, lstm
+
+        vocabs = {"A": 3, "B": 4} if encoding else None
+        rng = np.random.default_rng(14)
+        model = build_model("bilstm", Task.MORTALITY, rng, vocab_sizes=vocabs, encoding=encoding or "ohe",
+                            embed_frozen=frozen, hidden=4)
+        asked = []
+        real = lstm.lstm_backward
+
+        def recording(*args, **kwargs):
+            asked.append(kwargs["input_grad"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lstm, "lstm_backward", recording)
+        cat = rng.integers(0, 3, size=(2, 5, 2)) if encoding else None
+        _, grads = model.loss_and_grads(rng.normal(size=(2, 5, D)), cat, np.array([0.0, 1.0]))
+        assert asked == [input_grad, input_grad]
+        assert any(name.startswith("emb/") for name in grads) == input_grad

@@ -2,20 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _reference import ref_bin
 from icubench.errors import ConfigError
-from icubench.ingestion import LAB, stay_table
+from icubench.ingestion import LAB, load_dataset, stay_table
 from icubench.preprocessing import (
     bin_hourly,
     build_stay_grid,
     build_vocabs,
+    categorical_index,
     encode_categoricals,
     impute,
     oversample,
 )
 from icubench.schema import (
     CATEGORICAL_VARIABLES,
+    N_NUMERIC,
     NUMERICAL_VARIABLES,
     UNKNOWN,
     VALID_RANGES,
@@ -189,6 +193,34 @@ class TestVocabs:
     def test_rows_outside_the_grid_enter_the_vocab(self):
         table = rows(("Glasgow Coma Score Total", -30, "15"), ("Glasgow Coma Score Total", 10**6, "3"))
         assert build_vocabs(table, [1]).values["Glasgow Coma Score Total"] == (UNKNOWN, "3", "15")
+
+
+@pytest.fixture(scope="module")
+def dump_table(small_dump):
+    return load_dataset(small_dump).table
+
+
+class TestCategoricalIndex:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_vocabs_from_the_index_equal_vocabs_from_the_table(self, dump_table, data):
+        index = categorical_index(dump_table)
+        candidates = sorted(set(dump_table.stay.tolist())) + [-1, 10**12]   # two stays the dump lacks
+        drawn = data.draw(st.sets(st.sampled_from(candidates)))
+        for stays in (drawn, set(candidates) - drawn):   # small draws, and large training-fold-like sets
+            want, got = build_vocabs(dump_table, stays), build_vocabs(index, stays)
+            assert got.values == want.values
+            assert np.array_equal(got.remap, want.remap)
+            assert got.source_stays == want.source_stays
+
+    def test_one_row_per_distinct_code_plus_one_per_stay(self):
+        table, _ = stay_table([], {LAB: [
+            (1, 60, "Gender", "Female"), (1, 120, "Gender", "Female"), (1, 90, "Gender", " "),
+            (1, 60, "Heart rate", "80"), (3, 60, "Heart rate", "90"), (3, 90, "Heart rate", "91")]})
+        index = categorical_index(table)
+        facts = list(zip(index.stay.tolist(), index.variable.tolist(), index.code.tolist()))
+        female = table.strings.index("Female")
+        assert facts == [(1, N_NUMERIC, -1), (1, VARIABLES.index("Gender"), female), (3, N_NUMERIC, -1)]
 
 
 class TestOversample:

@@ -7,6 +7,7 @@ pass rule never splits a run (so data of one length trains as before), and
 that the batches of one length are those of plain shuffled mini-batches.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -219,3 +220,28 @@ class TestUniformDataUnchanged:
 
     def test_a_uniform_batch_is_one_pass(self):
         assert split_passes(np.full(128, 48)) == [slice(0, 128)]
+
+
+class TestPassMemory:
+    # measured at 11.25 MB (5.5 KB a cell) when PASS_CELLS went to 2,048; a kernel change that
+    # spends more per cell makes every training pass, and the run's peak RSS, larger
+    PEAK_BYTES = 11_600_000
+
+    def test_a_full_ragged_pass_stays_within_its_measured_peak(self):
+        # the phenotyping benchmark's shape: OHE width 49 + 13 numeric = D 62, H 64, 25 labels
+        vocabs = {name: 7 for name in VOCABS}
+        rng = np.random.default_rng(0)
+        model = build_model("bilstm", Task.PHENOTYPING, rng, vocab_sizes=vocabs, encoding="ohe", hidden=64)
+        assert model.input_width == 62
+        lengths = np.linspace(64, 16, 32).astype(int)   # 32 rows x longest 64 = 2,048 cells
+        assert len(lengths) * lengths[0] == PASS_CELLS
+        data = ragged_set(rng, Task.PHENOTYPING, lengths=lengths, vocabs=vocabs)
+        num, cat, labels, lens = one_pass(data)
+        model.loss_and_grads(num, cat, labels, lengths=lens)   # first-call allocations are not the pass's
+        tracemalloc.start()
+        try:
+            model.loss_and_grads(num, cat, labels, lengths=lens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_BYTES
