@@ -1,9 +1,11 @@
 """Inclusion criteria, task labels and rolling-window prediction schedules.
 
-Windowed tasks (remaining length of stay, decompensation) predict at hour
-t = 12, 18, 24, ... using the 12 preceding hours as the derivation window;
-a point exists only while t is strictly inside the gridded stay (and, for
-decompensation, strictly before death).
+Windows come from stay timing alone: ``hours`` maps each stay id to its
+schema.grid_hours, and no rule reads a grid.  Windowed tasks (remaining
+length of stay, decompensation) predict at hour t = 12, 18, 24, ... using
+the 12 preceding hours as the derivation window; a point exists only while
+t is strictly inside the gridded stay (and, for decompensation, strictly
+before death).  Every window is non-empty by construction.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .phenotypes import PhenotypeCatalog
-from .schema import DischargeStatus, HourlyGrid, StayMeta, TaskInstance
+from .schema import DischargeStatus, StayMeta, TaskInstance
 
 DERIVATION_HOURS = 12
 SLIDE_HOURS = 6
@@ -73,7 +75,7 @@ def schedule_points(n_hours: int, stop_before_hours: float | None = None) -> lis
 
 
 def build_mortality_instances(
-    grids: Mapping[int, HourlyGrid],
+    hours: Mapping[int, int],
     metas: Mapping[int, StayMeta],
     horizon_hours: int,
 ) -> list[TaskInstance]:
@@ -85,36 +87,36 @@ def build_mortality_instances(
     if horizon_hours not in (24, 48):
         raise ValueError(f"mortality horizon must be 24 or 48 hours, got {horizon_hours}")
     out = []
-    for stay_id in sorted(grids):
+    for stay_id in sorted(hours):
         meta = metas[stay_id]
         if meta.hospital_discharge_status == DischargeStatus.MISSING:
             continue
         if meta.unit_discharge_offset_minutes < 48 * 60:
             continue
-        if grids[stay_id].n_hours < horizon_hours:
-            continue  # grid truncated below the horizon by max_hours config
+        if hours[stay_id] < horizon_hours:
+            continue  # max_hours clips the stay below the horizon
         label = 1.0 if meta.hospital_discharge_status == DischargeStatus.EXPIRED else 0.0
-        out.append(TaskInstance(stay_id=stay_id, start=0, end=horizon_hours, label=label))
+        out.append(TaskInstance(stay_id, 0, horizon_hours, label))
     return out
 
 
 def build_los_instances(
-    grids: Mapping[int, HourlyGrid],
+    hours: Mapping[int, int],
     metas: Mapping[int, StayMeta],
 ) -> list[TaskInstance]:
     """Remaining length of stay (days) at each scheduled point."""
     out = []
-    for stay_id in sorted(grids):
+    for stay_id in sorted(hours):
         meta = metas[stay_id]
         los_days = meta.unit_los_days
-        for t in schedule_points(grids[stay_id].n_hours):
+        for t in schedule_points(hours[stay_id]):
             remaining = max(los_days - t / 24.0, 0.0)
-            out.append(TaskInstance(stay_id=stay_id, start=t - DERIVATION_HOURS, end=t, label=remaining))
+            out.append(TaskInstance(stay_id, t - DERIVATION_HOURS, t, remaining))
     return out
 
 
 def build_decomp_instances(
-    grids: Mapping[int, HourlyGrid],
+    hours: Mapping[int, int],
     metas: Mapping[int, StayMeta],
 ) -> list[TaskInstance]:
     """Death-within-24h label at each scheduled point.
@@ -123,29 +125,29 @@ def build_decomp_instances(
     positive iff the death offset falls in (t, t + 24] hours.
     """
     out = []
-    for stay_id in sorted(grids):
+    for stay_id in sorted(hours):
         meta = metas[stay_id]
         death_hours = None
         if meta.death_offset_minutes is not None:
             death_hours = meta.death_offset_minutes / 60.0
-        for t in schedule_points(grids[stay_id].n_hours, stop_before_hours=death_hours):
+        for t in schedule_points(hours[stay_id], stop_before_hours=death_hours):
             label = 0.0
             if death_hours is not None and t < death_hours <= t + 24:
                 label = 1.0
-            out.append(TaskInstance(stay_id=stay_id, start=t - DERIVATION_HOURS, end=t, label=label))
+            out.append(TaskInstance(stay_id, t - DERIVATION_HOURS, t, label))
     return out
 
 
 def build_phenotype_instances(
-    grids: Mapping[int, HourlyGrid],
+    hours: Mapping[int, int],
     diagnoses: Mapping[int, frozenset[str]],
     catalog: PhenotypeCatalog,
 ) -> list[TaskInstance]:
     """Whole-stay multi-label instances; stays with no mappable code are skipped."""
     out = []
-    for stay_id in sorted(grids):
+    for stay_id in sorted(hours):
         mask = catalog.label_mask(diagnoses.get(stay_id, frozenset()))
         if not mask.any():
             continue
-        out.append(TaskInstance(stay_id=stay_id, start=0, end=grids[stay_id].n_hours, label=mask))
+        out.append(TaskInstance(stay_id, 0, hours[stay_id], mask))
     return out

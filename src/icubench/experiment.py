@@ -4,8 +4,9 @@ under patient-level k-fold cross-validation, then emit reports.
 Leak rules enforced at runtime on every run: folds partition patients (all
 stays of a patient share a fold), vocabularies and oversampling see
 training folds only.  Optional z-score statistics come from the training
-windows' rows (oversampled repeats included).  The instances are windows
-into one stacked row array per run; each fold normalizes those shared rows
+windows' rows (oversampled repeats included).  The windows are cut from
+the stays' hours; only a windowed stay is then gridded, up to its last
+window end, into one stacked row array per run.  Each fold normalizes those shared rows
 once with its statistics and encodes their categories once with its
 vocabularies, test rows included.  The StayTable is released once the
 windows are stacked: the folds build their vocabularies from its
@@ -41,6 +42,7 @@ from .schema import (
     HourlyGrid,
     Task,
     TaskInstance,
+    grid_hours,
     normal_values,
     read_normal_values,
 )
@@ -146,7 +148,7 @@ def parse_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -332,37 +334,35 @@ def base_cohort(dataset: Dataset) -> tuple[cohort_mod.CohortReport, tuple[str, s
     return base, (dataset.report.render(), base.render(), demographics)
 
 
-def _build_instances(cfg: ExperimentConfig, grids, metas, diagnoses, catalog) -> list[TaskInstance]:
+def _build_instances(cfg: ExperimentConfig, hours, metas, diagnoses, catalog) -> list[TaskInstance]:
     if cfg.task_kind == Task.MORTALITY:
-        return cohort_mod.build_mortality_instances(grids, metas, cfg.mortality_horizon)
+        return cohort_mod.build_mortality_instances(hours, metas, cfg.mortality_horizon)
     if cfg.task_kind == Task.LOS:
-        return cohort_mod.build_los_instances(grids, metas)
+        return cohort_mod.build_los_instances(hours, metas)
     if cfg.task_kind == Task.DECOMPENSATION:
-        return cohort_mod.build_decomp_instances(grids, metas)
+        return cohort_mod.build_decomp_instances(hours, metas)
     if catalog is None:
         raise DataError("phenotyping needs a phenotype code map (phenotype_map.csv)")
-    return cohort_mod.build_phenotype_instances(grids, diagnoses, catalog)
+    return cohort_mod.build_phenotype_instances(hours, diagnoses, catalog)
 
 
 def _stacked_windows(cfg: ExperimentConfig, dataset: Dataset, stays, normals, catalog):
-    """The task's instances as windows into one stacked grid: each instance
-    stay's hourly rows up to its last window end, stays in id order.
+    """The task's windows, cut from the stays' hours, into one stacked grid of each windowed
+    stay's rows up to its last window end, stays in id order.
     Returns (stay ids, starts, lengths, labels, rows), one entry per instance."""
-    grids = {sid: build_stay_grid(dataset.metas[sid], dataset.table.rows(sid), normals, cfg.max_hours)
-             for sid in stays}
-    instances = _build_instances(cfg, grids, dataset.metas, dataset.diagnoses, catalog)
+    hours = {sid: grid_hours(dataset.metas[sid].unit_discharge_offset_minutes, cfg.max_hours) for sid in stays}
+    instances = _build_instances(cfg, hours, dataset.metas, dataset.diagnoses, catalog)
     if not instances:
         raise DataError(f"task {cfg.task!r} produced no instances on this data")
-    stay = np.array([inst.stay_id for inst in instances], dtype=np.int64)
-    start = np.array([inst.start for inst in instances], dtype=np.int64)
-    end = np.array([inst.end for inst in instances], dtype=np.int64)
-    labels = np.stack([np.asarray(inst.label, dtype=np.float64) for inst in instances])
+    stay, start, end, labels = zip(*instances)
+    stay, start, end = (np.array(column, dtype=np.int64) for column in (stay, start, end))
+    labels = np.array(labels, dtype=np.float64)
     kept, which = np.unique(stay, return_inverse=True)
     last = np.zeros(len(kept), dtype=np.int64)
     np.maximum.at(last, which, end)
-    cut = [(grids[sid], n) for sid, n in zip(kept.tolist(), last.tolist())]
-    rows = HourlyGrid(numeric=np.concatenate([grid.numeric[:n] for grid, n in cut]),
-                      codes=np.concatenate([grid.codes[:n] for grid, n in cut]))
+    grids = [build_stay_grid(dataset.table.rows(sid), n, normals) for sid, n in zip(kept.tolist(), last.tolist())]
+    rows = HourlyGrid(numeric=np.concatenate([grid.numeric for grid in grids]),
+                      codes=np.concatenate([grid.codes for grid in grids]))
     return stay, (np.cumsum(last) - last)[which] + start, end - start, labels, rows
 
 

@@ -17,12 +17,17 @@ one pass into one columnar StayTable, 29 bytes a row.  A numerical value
 outside its schema.VALID_RANGES entry is kept as NaN (unobserved), like an
 unparseable one, and counted per table as out of range.  An age is read
 like any other value (schema.parse_age): a non-finite age is NaN, so it
-fails the adult rule, and '> 89' reads as 90.  Blank lines are skipped.
-Rows with missing or extra cells (an unquoted comma inside a value, for
-instance), rows whose stay id or offset is not an integer inside int64 (one
-rule for all four tables), and patient rows whose discharge or death offset
-is outside schema.PATIENT_OFFSET_RANGE_MINUTES (0 to five years) are counted
-as malformed and skipped; a file that is not UTF-8 or that the CSV parser
+fails the adult rule, and '> 89' reads as 90.  One number rule covers every
+id, offset and value cell (schema.parse_value): a number is ASCII text, a
+sign and surrounding whitespace allowed, with no ``_``; so ``1_00016``,
+``７`` or ``1_0.5`` is not a number, and such a value is NaN.  A patient id
+(uniquepid) of ASCII digits reads as an int, any other text as its hash.
+Blank lines are skipped.  Rows with missing or extra cells (an unquoted
+comma inside a value, for instance), rows whose stay id or offset is not
+an integer by that rule inside int64 (all four tables), and patient rows
+whose discharge or death offset is outside
+schema.PATIENT_OFFSET_RANGE_MINUTES (0 to five years) are counted as
+malformed and skipped; a file that is not UTF-8 or that the CSV parser
 cannot read (an unterminated quote running past the field size limit, for
 instance), and a record over several lines, are data errors.
 
@@ -221,27 +226,21 @@ def _table_rows(path, table: str, report: IngestionReport) -> Iterator[tuple[str
             _add(report.rows_malformed, table, malformed)
 
 
-def _int64(text: str, name: str) -> int:
-    """An id or offset cell as an int; ValueError when it does not parse or is outside int64."""
+def _integer(text: str, name: str, low: int = _INT64_MIN, high: int = _INT64_MAX) -> int:
+    """An id or offset cell as an int; ValueError when it breaks the number
+    rule of schema.parse_value, is not an integer or is outside [low, high]."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{name} {text!r} is not an ASCII integer")
     value = int(text)
-    if not _INT64_MIN <= value <= _INT64_MAX:
-        raise ValueError(f"{name} {value} out of range")
-    return value
-
-
-def _offset_minutes(text: str, name: str) -> int:
-    """A patient offset cell as an int; ValueError when it does not parse or is
-    outside PATIENT_OFFSET_RANGE_MINUTES."""
-    value = int(text)
-    if not PATIENT_OFFSET_RANGE_MINUTES[0] <= value <= PATIENT_OFFSET_RANGE_MINUTES[1]:
+    if not low <= value <= high:
         raise ValueError(f"{name} {value} out of range")
     return value
 
 
 def parse_patient_id(text: str) -> int:
-    """Digit ids parse as ints; anything else hashes to a stable 63-bit int."""
+    """ASCII digit ids parse as ints; anything else hashes to a stable 63-bit int."""
     text = text.strip()
-    if text.isdigit():
+    if text.isascii() and text.isdigit():
         return int(text)
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little") >> 1
@@ -264,14 +263,14 @@ def load_stay_meta(path, report: IngestionReport | None = None) -> list[StayMeta
     rows = _table_rows(path, PATIENT, report)
     for stay, patient, age, gender, ethnicity, diagnosis, status_text, offset_text, death_text in rows:
         try:
-            stay_id = _int64(stay, "stay id")
-            offset = _offset_minutes(offset_text, "unit discharge offset")
+            stay_id = _integer(stay, "stay id")
+            offset = _integer(offset_text, "unit discharge offset", *PATIENT_OFFSET_RANGE_MINUTES)
             if offset <= 0:
                 raise ValueError("nonpositive unit discharge offset")
             status = _STATUS.get(status_text.strip().lower(), DischargeStatus.MISSING)
             death_offset = None
             if status == DischargeStatus.EXPIRED and death_text.strip():
-                death_offset = _offset_minutes(death_text, "death offset")
+                death_offset = _integer(death_text, "death offset", *PATIENT_OFFSET_RANGE_MINUTES)
             if stay_id in seen:
                 malformed += 1
                 report.messages.append(f"duplicate stay id {stay_id}; keeping first occurrence")
@@ -309,7 +308,7 @@ def load_diagnoses(path, report: IngestionReport | None = None) -> dict[int, fro
     kept = malformed = 0
     for stay, cell in _table_rows(path, DIAGNOSIS, report):
         try:
-            stay_id = _int64(stay, "stay id")
+            stay_id = _integer(stay, "stay id")
         except ValueError:
             malformed += 1
             continue
@@ -364,9 +363,10 @@ def stay_table(metas: Iterable[StayMeta], tables: Mapping[str, Iterable[tuple[st
             if j is None:
                 unmapped += 1
                 continue
+            cells = f"{stay_text}{offset_text}"   # _integer's rule inline, as this runs on every row; ints pass
             try:
                 stay_id, minutes = int(stay_text), int(offset_text)
-                if not (lo <= stay_id <= hi and lo <= minutes <= hi):
+                if "_" in cells or not cells.isascii() or not (lo <= stay_id <= hi and lo <= minutes <= hi):
                     raise ValueError
             except ValueError:
                 malformed += 1

@@ -77,30 +77,30 @@ class PhenotypeCatalog:
         """
         code_map: dict[str, int] = {}
         try:
-            fh = open(path, encoding="utf-8")
-        except OSError as exc:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read phenotype map {path}: {exc}") from exc
-        with fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = [p.strip() for p in line.split(",")]
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{lineno}: expected 'code,category_index'")
-                code, idx_text = parts
-                if lineno == 1 and not idx_text.lstrip("-").isdigit():
-                    continue  # header row
-                try:
-                    idx = int(idx_text)
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: bad category index {idx_text!r}") from exc
-                if not 0 <= idx < N_PHENOTYPES:
-                    raise DataError(f"{path}:{lineno}: category index {idx} out of range")
-                code = normalize_code(code)
-                if code_map.get(code, idx) != idx:
-                    raise DataError(f"{path}:{lineno}: code {code} mapped to two categories")
-                code_map[code] = idx
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) != 2:
+                raise DataError(f"{path}:{lineno}: expected 'code,category_index'")
+            code, idx_text = parts
+            if lineno == 1 and not idx_text.lstrip("-").isdigit():
+                continue  # header row
+            try:
+                idx = int(idx_text)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad category index {idx_text!r}") from exc
+            if not 0 <= idx < N_PHENOTYPES:
+                raise DataError(f"{path}:{lineno}: category index {idx} out of range")
+            code = normalize_code(code)
+            if code_map.get(code, idx) != idx:
+                raise DataError(f"{path}:{lineno}: code {code} mapped to two categories")
+            code_map[code] = idx
         return cls(code_map=code_map)
 
     def to_file(self, path) -> None:

@@ -9,6 +9,9 @@ Imputation carries the last observation forward and falls back to the
 variable's normal value (numeric) or the reserved "unknown" category
 before the first observation.
 
+A run grids a stay only up to its last task window end; neither binning
+nor imputation looks forward in time, so no row depends on where it stops.
+
 Categorical cells hold ids into the StayTable's interned strings through
 binning and imputation; mapping to vocabulary indices happens per
 cross-validation fold (vocabs are built from training folds only) via
@@ -26,15 +29,12 @@ import numpy as np
 from .errors import ConfigError
 from .schema import (
     CATEGORICAL_VARIABLES,
-    DEFAULT_MAX_GRID_HOURS,
     N_CATEGORICAL,
     N_NUMERIC,
     UNKNOWN,
     VARIABLES,
     HourlyGrid,
-    StayMeta,
     StayTable,
-    grid_hours,
     parse_value,
 )
 
@@ -83,10 +83,9 @@ def impute(grid: HourlyGrid, normals: np.ndarray) -> HourlyGrid:
                       codes=_carry_forward(grid.codes, grid.codes >= 0, 0))
 
 
-def build_stay_grid(meta: StayMeta, rows: StayTable, normals: np.ndarray,
-                    max_hours: int = DEFAULT_MAX_GRID_HOURS) -> HourlyGrid:
-    """Bin and impute one stay's rows, its demographic rows included."""
-    return impute(bin_hourly(rows, grid_hours(meta.unit_discharge_offset_minutes, max_hours)), normals)
+def build_stay_grid(rows: StayTable, n_hours: int, normals: np.ndarray) -> HourlyGrid:
+    """Bin and impute one stay's rows, its demographic rows included, over hours [0, n_hours)."""
+    return impute(bin_hourly(rows, n_hours), normals)
 
 
 def _vocab_sort_key(value: str):

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -163,7 +163,11 @@ def parse_age(text: str) -> float:
 
 
 def parse_value(text: str) -> float:
-    """A measurement's number, or NaN when the text is not a finite float."""
+    """A measurement's number, or NaN.  The number rule of every id, offset and value cell: ASCII
+    text without ``_`` (so not ``1_0.5`` or ``７``) that int() or float() reads; a sign, an exponent
+    and surrounding whitespace are accepted."""
+    if "_" in text or not text.isascii():
+        return math.nan
     try:
         value = float(text)
     except ValueError:
@@ -228,10 +232,10 @@ class StayMeta:
 
 @dataclass(frozen=True, eq=False)
 class HourlyGrid:
-    """Per-stay hourly matrix: one row per hour since unit admission.
+    """Hourly matrix of one stay or of stacked stays: one row per hour.
 
-    ``numeric`` is float64 [n_hours x 13] (NaN = unobserved before
-    imputation).  ``codes`` is int32 [n_hours x 7] of indices into the
+    ``numeric`` is float64 [hours x 13] (NaN = unobserved before
+    imputation).  ``codes`` is int32 [hours x 7] of indices into the
     StayTable's strings (-1 = unobserved before imputation);
     preprocessing.encode_categoricals maps them to a fold's vocabularies.
     """
@@ -239,14 +243,9 @@ class HourlyGrid:
     numeric: np.ndarray
     codes: np.ndarray
 
-    @property
-    def n_hours(self) -> int:
-        return self.numeric.shape[0]
 
-
-@dataclass(frozen=True, eq=False)
-class TaskInstance:
-    """One supervised example: a half-open hour window plus its label.
+class TaskInstance(NamedTuple):
+    """One supervised example: the half-open hour window [start, end) plus its label.
 
     ``label`` is a float for binary and remaining-LoS tasks, and a 25-long
     uint8 mask for phenotyping.
@@ -256,7 +255,3 @@ class TaskInstance:
     start: int
     end: int
     label: object
-
-    def __post_init__(self):
-        if not self.end > self.start >= 0:
-            raise ConfigError(f"stay {self.stay_id}: empty or negative window [{self.start}, {self.end})")

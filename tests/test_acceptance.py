@@ -39,6 +39,7 @@ from icubench.schema import (
     DischargeStatus,
     StayMeta,
     Task,
+    grid_hours,
     normal_values,
 )
 from icubench.synth import SynthConfig, generate
@@ -142,7 +143,8 @@ def test_criterion_5_preprocessing_completeness(tmp_path):
     vocabs = build_vocabs(dataset.table, dataset.metas)
     complete = True
     for sid in base.included:
-        grid = build_stay_grid(dataset.metas[sid], dataset.table.rows(sid), NORMALS)
+        grid = build_stay_grid(dataset.table.rows(sid), grid_hours(dataset.metas[sid].unit_discharge_offset_minutes),
+                               NORMALS)
         encoded = encode_categoricals(grid, vocabs)
         complete &= bool(np.all(np.isfinite(grid.numeric)))
         complete &= bool(np.all(grid.codes >= 0))
@@ -183,14 +185,13 @@ def test_criterion_6_schedule_law():
         meta = StayMeta(stay_id=1, patient_id=1, age=50.0, gender="Female", ethnicity="Other",
                         admission_diagnosis="Sepsis", hospital_discharge_status=DischargeStatus.ALIVE,
                         unit_discharge_offset_minutes=hours * 60)
-        grid = build_stay_grid(meta, stay_table([meta], {})[0], NORMALS)
-        for inst in build_los_instances({1: grid}, {1: meta}):
+        for inst in build_los_instances({1: grid_hours(meta.unit_discharge_offset_minutes)}, {1: meta}):
             law_ok &= inst.end - inst.start == 12 and (inst.end - 12) % 6 == 0 and inst.end < hours
 
     meta30 = StayMeta(stay_id=2, patient_id=2, age=50.0, gender="Female", ethnicity="Other",
                       admission_diagnosis="Sepsis", hospital_discharge_status=DischargeStatus.ALIVE,
                       unit_discharge_offset_minutes=30 * 60)
-    insts = build_los_instances({2: build_stay_grid(meta30, stay_table([meta30], {})[0], NORMALS)}, {2: meta30})
+    insts = build_los_instances({2: grid_hours(meta30.unit_discharge_offset_minutes)}, {2: meta30})
     points = [i.end for i in insts]
     labels = [i.label for i in insts]
     example_ok = points == [12, 18, 24] and np.allclose(labels, [0.75, 0.50, 0.25])
@@ -268,21 +269,20 @@ def test_criterion_10_real_data_reproduction():
     expired = sum(1 for m in included.values() if m.hospital_discharge_status == DischargeStatus.EXPIRED)
     rate = expired / len(included)
 
-    grids = {sid: build_stay_grid(dataset.metas[sid], dataset.table.rows(sid), NORMALS)
-             for sid in base.included}
+    hours = {sid: grid_hours(m.unit_discharge_offset_minutes) for sid, m in included.items()}
     from icubench.cohort import build_decomp_instances, build_mortality_instances, build_phenotype_instances
     from icubench.phenotypes import PhenotypeCatalog
 
-    mortality = {i.stay_id for i in build_mortality_instances(grids, included, 24)}
-    los = {i.stay_id for i in build_los_instances(grids, included)}
-    decomp = {i.stay_id for i in build_decomp_instances(grids, included)}
+    mortality = {i.stay_id for i in build_mortality_instances(hours, included, 24)}
+    los = {i.stay_id for i in build_los_instances(hours, included)}
+    decomp = {i.stay_id for i in build_decomp_instances(hours, included)}
     counts_ok = (len(included) == 73_718 and len(mortality) == 30_680
                  and len(los) == 73_389 and len(decomp) == 55_933)
     pheno_ok = True
     map_path = os.environ.get("ICUBENCH_PHENOTYPE_MAP")
     if map_path:
         catalog = PhenotypeCatalog.from_file(map_path)
-        pheno = {i.stay_id for i in build_phenotype_instances(grids, dataset.diagnoses, catalog)}
+        pheno = {i.stay_id for i in build_phenotype_instances(hours, dataset.diagnoses, catalog)}
         pheno_ok = len(pheno) == 49_299
     check(10, "real-data cohort counts", counts_ok and pheno_ok and abs(rate - 0.0836) < 5e-4,
           f"(base {len(included)}, mortality rate {rate:.4f})")

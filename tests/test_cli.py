@@ -104,6 +104,20 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"{filename}: the record starting on line {len(lines) - 10} runs on to line" in err
 
+    def test_config_file_that_is_not_utf8_is_config_error(self, tiny_dump, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"task=los\nmodel=lr\n# caf\xe9\n")
+        assert main(["run", "--config", str(cfg), "--data-dir", str(tiny_dump), "--out", str(tmp_path / "o")]) == 2
+        assert str(cfg) in capsys.readouterr().err
+
+    def test_phenotype_map_that_is_not_utf8_is_data_error(self, tiny_dump, tmp_path, capsys):
+        with open(tiny_dump / "phenotype_map.csv", "ab") as fh:
+            fh.write(b"038.9\xff,2\n")
+        assert main(["run", "--task", "phenotyping", "--model", "lr", "--data-dir", str(tiny_dump),
+                     "--folds", "2", "--epochs", "1", "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"cannot read phenotype map {tiny_dump / 'phenotype_map.csv'}" in err and "can't decode" in err
+
     @pytest.mark.parametrize("content", [
         None, "{not json", '{"Heart rate": "abc"}', '{"Heart rate": null}', '{"Heart rat": 80}',
         '{"Heart rate": true}',
@@ -149,6 +163,11 @@ class TestEdgeTokenFuzz:
             assert report.rows_out_of_range.get(table, 0) <= kept
         assert report.rows_out_of_range["lab"] and report.rows_out_of_range["nursecharting"]
 
+    def test_no_stay_is_read_through_a_digit_separator(self, fuzzed_dump):
+        # int() read the 1_000 token in a stay-id cell as a stay 1000 that the patient table lacks
+        dataset = load_dataset(fuzzed_dump)
+        assert 1000 not in dataset.table.stay and 1000 not in dataset.diagnoses
+
     @pytest.fixture(scope="class")
     def fuzzed_table(self, fuzzed_dump):
         return load_dataset(fuzzed_dump).table
@@ -156,7 +175,7 @@ class TestEdgeTokenFuzz:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_vocabs_from_the_categorical_index_equal_vocabs_from_the_table(self, fuzzed_table, data):
-        # mutated stay ids leave stays with a few stray rows, such as 1_000, which int() reads as 1000
+        # a malformed patient row leaves its stay's measurement rows in the table without demographic rows
         index = categorical_index(fuzzed_table)
         every = set(fuzzed_table.stay.tolist())
         drawn = data.draw(st.sets(st.sampled_from(sorted(every))))

@@ -12,11 +12,7 @@ from icubench.cohort import (
     select_base_cohort,
 )
 from icubench.phenotypes import PhenotypeCatalog
-from icubench.ingestion import stay_table
-from icubench.preprocessing import build_stay_grid
-from icubench.schema import DischargeStatus, StayMeta, normal_values
-
-NORMALS = normal_values()
+from icubench.schema import DEFAULT_MAX_GRID_HOURS, DischargeStatus, StayMeta, grid_hours
 
 
 def meta(stay_id, *, age=40.0, hours=72, status=DischargeStatus.ALIVE, death_hours=None, patient=None):
@@ -33,8 +29,8 @@ def meta(stay_id, *, age=40.0, hours=72, status=DischargeStatus.ALIVE, death_hou
     )
 
 
-def grid_for(m):
-    return build_stay_grid(m, stay_table([m], {})[0], NORMALS)
+def hours_of(*metas, max_hours=DEFAULT_MAX_GRID_HOURS):
+    return {m.stay_id: grid_hours(m.unit_discharge_offset_minutes, max_hours) for m in metas}
 
 
 class TestBaseCohort:
@@ -66,69 +62,69 @@ class TestBaseCohort:
 class TestMortality:
     def test_short_stay_excluded(self):
         m = meta(1, hours=36, status=DischargeStatus.EXPIRED, death_hours=36)
-        assert build_mortality_instances({1: grid_for(m)}, {1: m}, 24) == []
+        assert build_mortality_instances(hours_of(m), {1: m}, 24) == []
 
     def test_expired_stay_window_and_label(self):
         m = meta(1, hours=72, status=DischargeStatus.EXPIRED, death_hours=72)
-        (inst,) = build_mortality_instances({1: grid_for(m)}, {1: m}, 24)
+        (inst,) = build_mortality_instances(hours_of(m), {1: m}, 24)
         assert (inst.start, inst.end, inst.label) == (0, 24, 1.0)
 
     def test_missing_status_dropped(self):
         m = meta(1, hours=72, status=DischargeStatus.MISSING)
-        assert build_mortality_instances({1: grid_for(m)}, {1: m}, 48) == []
+        assert build_mortality_instances(hours_of(m), {1: m}, 48) == []
 
     def test_horizon_48(self):
         m = meta(1, hours=50)
-        (inst,) = build_mortality_instances({1: grid_for(m)}, {1: m}, 48)
+        (inst,) = build_mortality_instances(hours_of(m), {1: m}, 48)
         assert (inst.start, inst.end, inst.label) == (0, 48, 0.0)
 
 
 class TestLos:
     def test_thirty_hour_stay(self):
         m = meta(1, hours=30)
-        insts = build_los_instances({1: grid_for(m)}, {1: m})
+        insts = build_los_instances(hours_of(m), {1: m})
         assert [(i.start, i.end) for i in insts] == [(0, 12), (6, 18), (12, 24)]
         assert [i.label for i in insts] == pytest.approx([0.75, 0.50, 0.25])
 
     def test_twelve_hour_stay_empty(self):
         m = meta(1, hours=12)
-        assert build_los_instances({1: grid_for(m)}, {1: m}) == []
+        assert build_los_instances(hours_of(m), {1: m}) == []
 
     def test_consecutive_labels_differ_by_quarter_day(self):
         m = meta(1, hours=49)
-        insts = build_los_instances({1: grid_for(m)}, {1: m})
+        insts = build_los_instances(hours_of(m), {1: m})
         diffs = np.diff([i.label for i in insts])
         assert np.allclose(diffs, -0.25)
 
     def test_labels_nonnegative(self):
         for hours in (13, 18, 25, 100):
             m = meta(1, hours=hours)
-            for inst in build_los_instances({1: grid_for(m)}, {1: m}):
+            for inst in build_los_instances(hours_of(m), {1: m}):
                 assert inst.label >= 0.0
 
 
 class TestDecompensation:
     def test_death_within_window_positive(self):
         m = meta(1, hours=30, status=DischargeStatus.EXPIRED, death_hours=30)
-        insts = build_decomp_instances({1: grid_for(m)}, {1: m})
+        insts = build_decomp_instances(hours_of(m), {1: m})
         by_point = {i.end: i.label for i in insts}
         assert by_point[12] == 1.0  # death at 30 is inside (12, 36]
 
     def test_death_beyond_window_negative(self):
         m = meta(1, hours=60, status=DischargeStatus.EXPIRED, death_hours=40)
-        insts = build_decomp_instances({1: grid_for(m)}, {1: m})
+        insts = build_decomp_instances(hours_of(m), {1: m})
         by_point = {i.end: i.label for i in insts}
         assert by_point[12] == 0.0
         assert by_point[18] == 1.0  # 40 inside (18, 42]
 
     def test_survivor_all_negative(self):
         m = meta(1, hours=48)
-        insts = build_decomp_instances({1: grid_for(m)}, {1: m})
+        insts = build_decomp_instances(hours_of(m), {1: m})
         assert insts and all(i.label == 0.0 for i in insts)
 
     def test_no_points_at_or_after_death(self):
         m = meta(1, hours=60, status=DischargeStatus.EXPIRED, death_hours=24)
-        insts = build_decomp_instances({1: grid_for(m)}, {1: m})
+        insts = build_decomp_instances(hours_of(m), {1: m})
         assert all(i.end < 24 for i in insts)
 
     def test_positive_implies_death_offset(self):
@@ -136,8 +132,7 @@ class TestDecompensation:
             1: meta(1, hours=40, status=DischargeStatus.EXPIRED, death_hours=40),
             2: meta(2, hours=40),
         }
-        grids = {sid: grid_for(m) for sid, m in metas.items()}
-        for inst in build_decomp_instances(grids, metas):
+        for inst in build_decomp_instances(hours_of(*metas.values()), metas):
             if inst.label == 1.0:
                 assert metas[inst.stay_id].death_offset_minutes is not None
 
@@ -148,8 +143,8 @@ class TestScheduleLaw:
         for _ in range(50):
             hours = int(rng.integers(1, 120))
             m = meta(1, hours=hours)
-            grid = grid_for(m)
-            for inst in build_los_instances({1: grid}, {1: m}) + build_decomp_instances({1: grid}, {1: m}):
+            stay_hours = hours_of(m)
+            for inst in build_los_instances(stay_hours, {1: m}) + build_decomp_instances(stay_hours, {1: m}):
                 assert inst.end - inst.start == 12
                 assert inst.end >= 12 and (inst.end - 12) % 6 == 0
                 assert inst.end < hours
@@ -168,14 +163,34 @@ class TestPhenotyping:
 
     def test_mask_bits(self):
         m = meta(1, hours=20)
-        (inst,) = build_phenotype_instances({1: grid_for(m)}, {1: frozenset({"038.9", "785.5"})}, self.CATALOG)
+        (inst,) = build_phenotype_instances(hours_of(m), {1: frozenset({"038.9", "785.5"})}, self.CATALOG)
         assert inst.label.sum() == 2 and inst.label.shape == (25,)
         assert inst.start == 0 and inst.end == 20
 
     def test_unmappable_codes_excluded(self):
         m = meta(1, hours=20)
-        assert build_phenotype_instances({1: grid_for(m)}, {1: frozenset({"999.9"})}, self.CATALOG) == []
+        assert build_phenotype_instances(hours_of(m), {1: frozenset({"999.9"})}, self.CATALOG) == []
 
     def test_no_diagnoses_excluded(self):
         m = meta(1, hours=20)
-        assert build_phenotype_instances({1: grid_for(m)}, {}, self.CATALOG) == []
+        assert build_phenotype_instances(hours_of(m), {}, self.CATALOG) == []
+
+
+class TestWindowsFromHours:
+    CATALOG = PhenotypeCatalog(code_map={"038.9": 2})
+
+    def test_every_window_is_nonempty_and_inside_the_clipped_stay(self):
+        # TaskInstance makes no check of its own, so every build_*_instances must emit 0 <= start < end <= hours
+        metas = {h: meta(h, hours=h, status=DischargeStatus.EXPIRED, death_hours=h) for h in range(1, 130)}
+        for max_hours in (1, 30, DEFAULT_MAX_GRID_HOURS):
+            hours = hours_of(*metas.values(), max_hours=max_hours)
+            insts = (build_mortality_instances(hours, metas, 24) + build_mortality_instances(hours, metas, 48)
+                     + build_los_instances(hours, metas) + build_decomp_instances(hours, metas)
+                     + build_phenotype_instances(hours, dict.fromkeys(metas, frozenset({"038.9"})), self.CATALOG))
+            assert insts and all(0 <= i.start < i.end <= hours[i.stay_id] for i in insts)
+
+    def test_max_hours_clips_the_whole_stay_window(self):
+        m = meta(1, hours=100)
+        (inst,) = build_phenotype_instances(hours_of(m, max_hours=30), {1: frozenset({"038.9"})}, self.CATALOG)
+        assert (inst.start, inst.end) == (0, 30)
+        assert build_mortality_instances(hours_of(m, max_hours=30), {1: m}, 48) == []

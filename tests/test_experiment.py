@@ -25,7 +25,8 @@ from icubench.experiment import (
     write_reports,
 )
 from icubench.ingestion import load_dataset
-from icubench.schema import DischargeStatus, StayMeta, normal_values
+from icubench.phenotypes import PhenotypeCatalog
+from icubench.schema import DischargeStatus, StayMeta, grid_hours, normal_values
 
 
 class TestMakeFolds:
@@ -193,6 +194,38 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "train_model", train)
         run_experiment(self._cfg(small_dump, tmp_path, task="phenotyping", model="lr", folds=2, epochs=1))
         assert len(trained) == 2
+
+    def _gridded_hours(self, small_dump, tmp_path, monkeypatch, task):
+        """{stay id: hours gridded} of one run, read through the name experiment looks up."""
+        gridded = {}
+        real_grid = experiment.build_stay_grid
+
+        def grid(rows, n_hours, normals):
+            gridded[int(rows.stay[0])] = n_hours   # every stay has its demographic rows
+            return real_grid(rows, n_hours, normals)
+
+        monkeypatch.setattr(experiment, "build_stay_grid", grid)
+        run_experiment(self._cfg(small_dump, tmp_path, task=task, folds=2, epochs=1))
+        return gridded
+
+    def test_mortality24_grids_24_hours_of_each_instance_stay(self, small_dump, tmp_path, monkeypatch):
+        gridded = self._gridded_hours(small_dump, tmp_path, monkeypatch, "mortality24")
+        dataset = load_dataset(small_dump)
+        base, _ = base_cohort(dataset)
+        qualifying = {sid for sid in base.included
+                      if dataset.metas[sid].hospital_discharge_status != DischargeStatus.MISSING
+                      and dataset.metas[sid].unit_discharge_offset_minutes >= 48 * 60}
+        assert qualifying and set(gridded) == qualifying
+        assert set(gridded.values()) == {24}
+
+    def test_phenotyping_grids_no_stay_without_a_mappable_code(self, small_dump, tmp_path, monkeypatch):
+        gridded = self._gridded_hours(small_dump, tmp_path, monkeypatch, "phenotyping")
+        dataset = load_dataset(small_dump)
+        base, _ = base_cohort(dataset)
+        catalog = PhenotypeCatalog.from_file(small_dump / "phenotype_map.csv")
+        mapped = {sid for sid in base.included if catalog.label_mask(dataset.diagnoses.get(sid, ())).any()}
+        assert len(mapped) < len(base.included) and set(gridded) == mapped
+        assert all(n == grid_hours(dataset.metas[sid].unit_discharge_offset_minutes) for sid, n in gridded.items())
 
     def test_dropout_config_trains(self, small_dump, tmp_path):
         report = run_experiment(self._cfg(small_dump, tmp_path, model="ann", dropout=0.2))

@@ -97,6 +97,12 @@ class TestStayMeta:
         assert parse_patient_id("002-10009") != parse_patient_id("002-10010")
         assert parse_patient_id("1234") == 1234
 
+    def test_only_ascii_digit_patient_ids_read_as_ints(self):
+        # int() reads full-width and Arabic-Indic digits too, which made "１２" the patient 12
+        assert parse_patient_id(" 12 ") == 12
+        assert parse_patient_id("１２") != 12 and parse_patient_id("١٢") != 12
+        assert parse_patient_id("１２") == parse_patient_id("１２")
+
 
 class TestRecords:
     def test_filters_and_keeps_verbatim(self, tmp_path):
@@ -178,7 +184,7 @@ class TestDataset:
             nursecharting_rows=["7,0,Age,52", "7,30,pH,7.2", "7,30,Gender,Male"],
         )
         dataset = load_dataset(dump)
-        grid = build_stay_grid(dataset.metas[7], dataset.table.rows(7), normal_values())
+        grid = build_stay_grid(dataset.table.rows(7), 1, normal_values())
         numeric = dict(zip(NUMERICAL_VARIABLES, grid.numeric[0]))
         assert numeric["Age"] == 52.0 and numeric["pH"] == 7.2
         assert dataset.table.strings[grid.codes[0, CATEGORICAL_VARIABLES.index("Gender")]] == "Male"
@@ -288,6 +294,31 @@ class TestReport:
         assert report.rows_read["patient"] == report.rows_kept["patient"] + report.rows_malformed["patient"]
         for message in (f"unit discharge offset {2**63 - 1} out of range", f"death offset {2**63 - 1} out of range",
                         f"death offset {lo - 1} out of range", f"unit discharge offset {hi + 1} out of range"):
+            assert f"patient row skipped: {message}" in report.messages
+
+    def test_ids_and_offsets_with_a_separator_or_non_ascii_are_malformed(self, tmp_path):
+        # int() reads 1_00016 as 100016 and ７ as 7, which attached such rows to real stays
+        dump = write_dump(tmp_path / "d", [
+            "1_00016,1001,50,Female,Caucasian,Sepsis,Alive,1500,",
+            "７,1002,50,Female,Caucasian,Sepsis,Alive,1500,",
+            "8,1003,45,Male,Hispanic,Trauma,Alive,1_500,",
+            "9,1004,60,Male,Other,CHF,Expired,1500,２000",
+            " +7 ,1005,60,Male,Other,CHF,Expired, 1500 ,+2000",
+        ], lab_rows=["1_00016,95,pH,7.31", "７,95,pH,7.31", "7,6_0,pH,7.31", "7,\u00a060,pH,7.31",
+                      " 7 ,+95,pH,7.31", "7,-5,pH,7.2"])
+        (tmp_path / "d" / TABLE_FILES["diagnosis"]).write_text(
+            "patientunitstayid,icd9code\n1_000,038.9\n７,038.9\n7,038.9\n", encoding="utf-8")
+        dataset = load_dataset(dump)
+        report = dataset.report
+        assert sorted(dataset.metas) == [7]
+        assert (dataset.metas[7].unit_discharge_offset_minutes, dataset.metas[7].death_offset_minutes) == (1500, 2000)
+        assert report.rows_malformed == {"patient": 4, "lab": 4, "diagnosis": 2}
+        assert report.rows_kept == {"patient": 1, "lab": 2, "diagnosis": 1}
+        assert set(dataset.table.stay.tolist()) == {7}
+        assert sorted(dataset.table.offset[dataset.table.variable == VARIABLES.index("pH")].tolist()) == [-5, 95]
+        for message in ("stay id '1_00016' is not an ASCII integer", "stay id '７' is not an ASCII integer",
+                        "unit discharge offset '1_500' is not an ASCII integer",
+                        "death offset '２000' is not an ASCII integer"):
             assert f"patient row skipped: {message}" in report.messages
 
     def test_offset_range_contains_every_synthetic_offset(self, tmp_path):

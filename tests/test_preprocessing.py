@@ -110,13 +110,13 @@ class TestBinning:
         # the patient table's age is an offset-0 row ahead of the file's rows at offset 0
         meta = _meta(1)
         table, _ = stay_table([meta], {LAB: [(1, 0, "Age", "not a number")]})
-        grid = build_stay_grid(meta, table.rows(1), NORMALS)
+        grid = build_stay_grid(table.rows(1), 3, NORMALS)
         assert grid.numeric[0, NUM_INDEX["Age"]] == 50.0
 
     def test_parseable_age_row_in_hour_zero_wins(self):
         meta = _meta(1)
         table, _ = stay_table([meta], {LAB: [(1, 0, "Age", "77")]})
-        grid = build_stay_grid(meta, table.rows(1), NORMALS)
+        grid = build_stay_grid(table.rows(1), 3, NORMALS)
         assert list(grid.numeric[:, NUM_INDEX["Age"]]) == [77.0] * 3
 
 
@@ -151,7 +151,7 @@ class TestImpute:
         # an "unknown" row stops carry-forward of the patient table's gender
         meta = _meta(1, hours=4)
         table, _ = stay_table([meta], {LAB: [(1, 125, "Gender", " unknown ")]})
-        grid = build_stay_grid(meta, table.rows(1), NORMALS)
+        grid = build_stay_grid(table.rows(1), 4, NORMALS)
         assert labels(grid, table, "Gender") == ["Female", "Female", UNKNOWN, UNKNOWN]
 
 
@@ -283,6 +283,6 @@ class TestMetaRecords:
 
     def test_grid_has_constant_demographics(self):
         table, _ = stay_table([_meta(3, hours=5)], {})
-        grid = build_stay_grid(_meta(3, hours=5), table.rows(3), NORMALS)
+        grid = build_stay_grid(table.rows(3), 5, NORMALS)
         assert np.all(grid.numeric[:, NUM_INDEX["Age"]] == 50.0)
         assert labels(grid, table, "Gender") == ["Female"] * 5

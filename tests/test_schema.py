@@ -15,10 +15,10 @@ from icubench.schema import (
     VARIABLES,
     DischargeStatus,
     StayMeta,
-    TaskInstance,
     grid_hours,
     normal_values,
     parse_age,
+    parse_value,
     read_normal_values,
 )
 from icubench.synth import _RANGE as SYNTH_RANGE
@@ -94,6 +94,16 @@ class TestParsing:
     def test_nonfinite_age_is_nan(self, text):
         assert math.isnan(parse_age(text))
 
+    @pytest.mark.parametrize("text", ["1_0.5", "6_0", "７", "٧.5", "7\u00a0", "1e1_0"])
+    def test_separator_or_non_ascii_value_is_nan(self, text):
+        # float() reads 1_0.5 as 10.5 and ７ as 7
+        assert math.isnan(parse_value(text))
+        assert math.isnan(parse_age(text))
+
+    @pytest.mark.parametrize("text, value", [(" 7.5 ", 7.5), ("+1e1", 10.0), ("-3", -3.0), ("\t.5\n", 0.5)])
+    def test_sign_exponent_and_surrounding_spaces_are_read(self, text, value):
+        assert parse_value(text) == value
+
     def test_grid_hours(self):
         assert grid_hours(60) == 1
         assert grid_hours(61) == 2
@@ -102,10 +112,6 @@ class TestParsing:
 
 
 class TestTypes:
-    def test_empty_window_rejected(self):
-        with pytest.raises(ConfigError):
-            TaskInstance(stay_id=1, start=5, end=5, label=0.0)
-
     def test_death_offset_requires_expired(self):
         with pytest.raises(ConfigError):
             StayMeta(

@@ -9,7 +9,7 @@ from icubench.ingestion import load_dataset
 from icubench.neural import build_model, train_model
 from icubench.neural.training import InstanceSet
 from icubench.preprocessing import build_stay_grid
-from icubench.schema import DischargeStatus, Task, normal_values
+from icubench.schema import DischargeStatus, Task, grid_hours, normal_values
 from icubench.synth import PHENOTYPE_RATES, SynthConfig, generate, synthetic_catalog
 
 
@@ -115,7 +115,7 @@ class TestPlantedSignal:
         dataset = load_dataset(dump_dir)
         pos, neg = [], []
         for sid, m in dataset.metas.items():
-            grid = build_stay_grid(m, dataset.table.rows(sid), normals)
+            grid = build_stay_grid(dataset.table.rows(sid), grid_hours(m.unit_discharge_offset_minutes), normals)
             target = pos if m.hospital_discharge_status == DischargeStatus.EXPIRED else neg
             target.append(grid.numeric[:, 0].mean())
         return np.mean(pos) - np.mean(neg)
@@ -139,7 +139,7 @@ class TestPlantedSignal:
         for sid, m in sorted(dataset.metas.items()):
             if m.hospital_discharge_status == DischargeStatus.MISSING:
                 continue
-            grid = build_stay_grid(m, dataset.table.rows(sid), normals)
+            grid = build_stay_grid(dataset.table.rows(sid), grid_hours(m.unit_discharge_offset_minutes), normals)
             feats.append(grid.numeric[:24])
             labels.append(1.0 if m.hospital_discharge_status == DischargeStatus.EXPIRED else 0.0)
         num = np.stack(feats)
