@@ -27,6 +27,7 @@ from .experiment import (
     write_reports,
 )
 from .ingestion import load_dataset
+from .schema import parse_int
 from .synth import SynthConfig, generate
 
 EXIT_OK = 0
@@ -62,9 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--encoding", choices=ENCODING_CHOICES)
     p_run.add_argument("--variables", choices=VARIABLE_CHOICES)
     p_run.add_argument("--data-dir")
-    p_run.add_argument("--folds", type=int)
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--epochs", type=int)
+    p_run.add_argument("--folds", type=parse_int)
+    p_run.add_argument("--seed", type=parse_int)
+    p_run.add_argument("--epochs", type=parse_int)
     p_run.add_argument("--config", help="flat key=value config file; flags override it")
     p_run.add_argument("--out")
 

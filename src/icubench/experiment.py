@@ -44,6 +44,8 @@ from .schema import (
     TaskInstance,
     grid_hours,
     normal_values,
+    parse_int,
+    parse_value,
     read_normal_values,
 )
 
@@ -184,9 +186,12 @@ def _coerce(annotation: str, key: str, raw: str):
     annotation = str(annotation)
     try:
         if annotation == "int":
-            return int(raw)
+            return parse_int(raw, "value")
         if annotation == "float":
-            return float(raw)
+            value = parse_value(raw)
+            if math.isnan(value):
+                raise ValueError(f"{raw!r} is not a finite ASCII number")
+            return value
         if annotation == "bool":
             lowered = raw.lower()
             if lowered not in _BOOL_STRINGS:

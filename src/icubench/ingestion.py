@@ -17,10 +17,11 @@ one pass into one columnar StayTable, 29 bytes a row.  A numerical value
 outside its schema.VALID_RANGES entry is kept as NaN (unobserved), like an
 unparseable one, and counted per table as out of range.  An age is read
 like any other value (schema.parse_age): a non-finite age is NaN, so it
-fails the adult rule, and '> 89' reads as 90.  One number rule covers every
-id, offset and value cell (schema.parse_value): a number is ASCII text, a
-sign and surrounding whitespace allowed, with no ``_``; so ``1_00016``,
-``７`` or ``1_0.5`` is not a number, and such a value is NaN.  A patient id
+fails the adult rule; '> 89' reads as 90, and any other text after '>' as
+NaN.  One number rule covers every id, offset and value cell
+(schema.parse_value, schema.parse_int): a number is ASCII text, a sign and
+surrounding whitespace allowed, with no ``_``; so ``1_00016``, ``７`` or
+``1_0.5`` is not a number, and such a value is NaN.  A patient id
 (uniquepid) of ASCII digits reads as an int, any other text as its hash.
 Blank lines are skipped.  Rows with missing or extra cells (an unquoted
 comma inside a value, for instance), rows whose stay id or offset is not
@@ -65,6 +66,7 @@ from .schema import (
     StayMeta,
     StayTable,
     parse_age,
+    parse_int,
     parse_value,
 )
 
@@ -228,10 +230,8 @@ def _table_rows(path, table: str, report: IngestionReport) -> Iterator[tuple[str
 
 def _integer(text: str, name: str, low: int = _INT64_MIN, high: int = _INT64_MAX) -> int:
     """An id or offset cell as an int; ValueError when it breaks the number
-    rule of schema.parse_value, is not an integer or is outside [low, high]."""
-    if "_" in text or not text.isascii():
-        raise ValueError(f"{name} {text!r} is not an ASCII integer")
-    value = int(text)
+    rule (schema.parse_int) or is outside [low, high]."""
+    value = parse_int(text, name)
     if not low <= value <= high:
         raise ValueError(f"{name} {value} out of range")
     return value
@@ -363,7 +363,7 @@ def stay_table(metas: Iterable[StayMeta], tables: Mapping[str, Iterable[tuple[st
             if j is None:
                 unmapped += 1
                 continue
-            cells = f"{stay_text}{offset_text}"   # _integer's rule inline, as this runs on every row; ints pass
+            cells = f"{stay_text}{offset_text}"   # parse_int's rule inline, as this runs on every row; ints pass
             try:
                 stay_id, minutes = int(stay_text), int(offset_text)
                 if "_" in cells or not cells.isascii() or not (lo <= stay_id <= hi and lo <= minutes <= hi):

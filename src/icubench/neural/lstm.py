@@ -21,10 +21,11 @@ that prefix (``h[:k] @ Wh.T``, the cell update, ``dz``); the other rows keep
 h = c = 0 and a zero gate gradient, so a row's states and gradients are
 those of the row run alone, and padding costs only the time-parallel GEMMs
 over its cells.  A BiLSTM training pass peaks at about 5.5 KB per cell in
-float32 (``tracemalloc``, input width 62, hidden 64), so about 11 MB for a
-pass of the 2,048 cells that ``training.PASS_CELLS`` allows; the input
-gradient, which only a trainable embedding reads, is skipped with
-``input_grad=False``.
+float32 (``tracemalloc``, input width 62, hidden 64): about 11 MB at the
+2,048 cells of ``training.PASS_CELLS``, and 34.4 MB at the 6,144 of
+``training.TRAIN_PASS_CELLS``, the most cells a training pass holds unless
+one window is longer.  The input gradient, which only a trainable embedding
+reads, is skipped with ``input_grad=False``.
 
 The forward cache is time-major, so each step t = 0..T-1 reads and writes
 contiguous ``[B, ·]`` rows (h_{-1} = c_{-1} = 0):

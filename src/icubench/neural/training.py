@@ -12,31 +12,27 @@ permuted, so every Adam step sees up to ``batch_size`` rows of similar
 lengths.  For instances of one length these are the draws and the batches
 of plain shuffled mini-batches.
 
-A batch is evaluated in passes.  Its rows are sorted longest first, and
-runs of equal length are merged greedily until the next run would take the
-pass past ``PASS_CELLS`` cells (rows x longest length).  A run is never
-split, so a batch of one length is a single pass.  Inside a pass the rows
-are end-aligned: row r is the last ``lengths[r]`` of T steps, and the
-models (see ``models.py`` and ``lstm.py``) treat the steps before as
-padding that adds nothing to a row's output or gradient.  The passes'
-losses and gradients are weighted by rows / batch rows and summed into one
-Adam step, so the step is that of the whole batch.  ``predict_scores``
-applies the same pass rule to the whole instance list, and also cuts a
-length run larger than ``PASS_CELLS`` cells into chunks of
-``PASS_CELLS // T`` rows (at least one), so prediction memory does not
-grow with the test fold.  A chunk boundary can move a float32 score by an
-ulp.
+A batch is evaluated in passes, and prediction takes the whole instance
+list as one batch.  The rows are sorted longest first; runs of equal length
+are merged greedily up to ``PASS_CELLS`` cells (rows x longest length), and
+a run above the caller's ceiling is cut into chunks of ceiling // T rows
+(at least one), the remainder last.  Prediction's ceiling is
+``PASS_CELLS``, so its memory does not grow with the test fold; training's
+is ``TRAIN_PASS_CELLS``, so a batch's does not grow with ``batch_size``.
+Inside a pass the rows are end-aligned: row r is the last ``lengths[r]`` of
+T steps, and the models (see ``models.py`` and ``lstm.py``) treat the steps
+before as padding that adds nothing to a row's output or gradient.  The
+passes' losses and gradients are weighted by rows / batch rows and summed
+into one Adam step, which is the whole batch's up to summation order; a
+chunk boundary can move a float32 score by an ulp.
 
-Why the budget: a BiLSTM training pass peaks at about 5.5 KB per cell in
-float32 (``tracemalloc``, input width 62, hidden 64, no trainable
-embedding), about 11 MB per 2,048-cell pass.  On the 500-patient
-phenotyping benchmark dump, whole 128-row batches as single passes raised
-the run's peak RSS from 69 MB (batches of one exact length) to 125 MB.
-``run_experiment`` frees the raw stay table before the folds, and that
-pays for 2,048 cells: on the seed-1 dump the run peaks at 65.9 MB, against
-71.1 MB with 1,024-cell passes and the table held.  With the table held,
-2,048 cells peaked at 74.5 MB and 4,096 at 86.8 MB; with it freed, 3,072
-cells peak at 72.8 MB.
+Why the ceilings: a BiLSTM training pass peaks at about 5.5 KB per cell in
+float32 (``tracemalloc``, input width 62, hidden 64), about 11 MB at 2,048
+cells.  With the raw stay table freed before the folds, the run on the
+seed-1 phenotyping benchmark dump peaks at 65.9 MB, and 72.8 MB with 3,072
+cells.  ``TRAIN_PASS_CELLS`` is 128 x 48, the largest one-length batch of a
+default config (mortality48), so every default batch stays one pass; that
+pass peaks at 34.4 MB.
 """
 
 from __future__ import annotations
@@ -48,8 +44,10 @@ import numpy as np
 from .adam import Adam
 from .models import BaseModel, real_cells
 
-#: Most cells (rows x longest length) in a pass, unless one length run alone is larger.
+#: Most cells (rows x longest length) that equal-length runs merge up to, and the prediction ceiling.
 PASS_CELLS = 2048
+#: The training ceiling: 128 windows of mortality48, the largest one-length default batch.
+TRAIN_PASS_CELLS = 128 * 48
 
 
 @dataclass(eq=False)
@@ -107,30 +105,36 @@ def make_epoch_batches(lengths: np.ndarray, batch_size: int, rng: np.random.Gene
     return [chunks[i] for i in rng.permutation(len(chunks))]
 
 
-def split_passes(lengths: np.ndarray) -> list[slice]:
-    """Cut rows sorted longest first into passes of whole equal-length runs,
-    each at most PASS_CELLS cells unless it is one run."""
+def split_passes(lengths: np.ndarray, most_cells: int) -> list[slice]:
+    """Cut rows sorted longest first into passes: whole equal-length runs
+    merged greedily up to PASS_CELLS cells, then any run above ``most_cells``
+    cut into chunks of ``most_cells // T`` rows (at least one)."""
     run_starts = (np.flatnonzero(np.diff(lengths)) + 1).tolist()
-    passes = []
-    lo = 0
+    bounds = [0]
     for start, end in zip([0, *run_starts], [*run_starts, len(lengths)]):
-        if start > lo and (end - lo) * lengths[lo] > PASS_CELLS:
-            passes.append(slice(lo, start))
-            lo = start
-    passes.append(slice(lo, len(lengths)))
+        if start > bounds[-1] and (end - bounds[-1]) * lengths[bounds[-1]] > PASS_CELLS:
+            bounds.append(start)
+    bounds.append(len(lengths))
+    passes = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        T = int(lengths[lo])
+        step = hi - lo if (hi - lo) * T <= most_cells else max(1, most_cells // T)
+        passes.extend(slice(first, min(first + step, hi)) for first in range(lo, hi, step))
     return passes
 
 
-def _longest_first(data: InstanceSet, rows: np.ndarray) -> np.ndarray:
-    return rows[np.argsort(-data.lengths[rows], kind="stable")]
+def _passes(data: InstanceSet, rows: np.ndarray, most_cells: int):
+    """Each pass of ``rows`` (split_passes over them, longest first) as
+    (its rows, ``window_pass`` of them)."""
+    rows = rows[np.argsort(-data.lengths[rows], kind="stable")]
+    for part in split_passes(data.lengths[rows], most_cells):
+        yield rows[part], data.window_pass(rows[part])
 
 
 def batch_loss_and_grads(model: BaseModel, data: InstanceSet, rows: np.ndarray, **kwargs):
     """Loss and gradients of the batch ``rows``, summed over its passes."""
-    rows = _longest_first(data, rows)
     loss, grads = 0.0, {}
-    for part in split_passes(data.lengths[rows]):
-        num, cat, labels, lengths = data.window_pass(rows[part])
+    for _, (num, cat, labels, lengths) in _passes(data, rows, TRAIN_PASS_CELLS):
         pass_loss, pass_grads = model.loss_and_grads(num, cat, labels, lengths=lengths, **kwargs)
         weight = len(labels) / len(rows)
         loss += weight * pass_loss
@@ -168,19 +172,14 @@ def train_model(
 
 
 def predict_scores(model: BaseModel, data: InstanceSet) -> np.ndarray:
-    """Scores in instance order, float64, predicted pass by pass; a length
-    run too large for one pass is cut into chunks of PASS_CELLS // T rows."""
+    """Scores in instance order, float64, predicted in passes cut at
+    PASS_CELLS cells."""
     if len(data) == 0:
         return np.zeros((0,))
-    rows = _longest_first(data, np.arange(len(data)))
     out = None
-    for part in split_passes(data.lengths[rows]):
-        step = max(1, PASS_CELLS // int(data.lengths[rows[part.start]]))
-        for lo in range(part.start, part.stop, step):
-            chunk = rows[lo:min(lo + step, part.stop)]
-            num, cat, _, lengths = data.window_pass(chunk)
-            preds = model.predict(num, cat, lengths=lengths)
-            if out is None:
-                out = np.full((len(data), 1 if preds.ndim == 1 else preds.shape[1]), np.nan)
-            out[chunk] = preds.reshape(len(preds), -1)
+    for rows, (num, cat, _, lengths) in _passes(data, np.arange(len(data)), PASS_CELLS):
+        preds = model.predict(num, cat, lengths=lengths)
+        if out is None:
+            out = np.full((len(data), 1 if preds.ndim == 1 else preds.shape[1]), np.nan)
+        out[rows] = preds.reshape(len(preds), -1)
     return out[:, 0] if out.shape[1] == 1 else out

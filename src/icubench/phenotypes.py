@@ -13,6 +13,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DataError
+from .schema import parse_int
 
 ACUTE = "acute"
 CHRONIC = "chronic"
@@ -71,6 +72,9 @@ class PhenotypeCatalog:
     @classmethod
     def from_file(cls, path) -> "PhenotypeCatalog":
         """Load ``code,category_index`` lines; a header line is tolerated.
+        The index is read by the number rule (schema.parse_int), so ``２``
+        or ``1_0`` is a bad index, and a first line whose index does not
+        read is the header.
 
         A code appearing under two different categories is a data error
         (the assignment must be a function).
@@ -89,11 +93,11 @@ class PhenotypeCatalog:
             if len(parts) != 2:
                 raise DataError(f"{path}:{lineno}: expected 'code,category_index'")
             code, idx_text = parts
-            if lineno == 1 and not idx_text.lstrip("-").isdigit():
-                continue  # header row
             try:
-                idx = int(idx_text)
+                idx = parse_int(idx_text)
             except ValueError as exc:
+                if lineno == 1:
+                    continue  # header row
                 raise DataError(f"{path}:{lineno}: bad category index {idx_text!r}") from exc
             if not 0 <= idx < N_PHENOTYPES:
                 raise DataError(f"{path}:{lineno}: category index {idx} out of range")

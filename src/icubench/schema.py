@@ -158,8 +158,12 @@ def read_normal_values(path) -> np.ndarray:
 
 
 def parse_age(text: str) -> float:
-    """An age cell read like any value (parse_value); masked '> 89' entries collapse to the 90 sentinel."""
-    return MASKED_AGE_SENTINEL if text.strip().startswith(">") else parse_value(text)
+    """An age cell read like any value (parse_value); a masked age, '>' then text that reads as 89,
+    is the 90 sentinel, and any other text after '>' is NaN."""
+    stripped = text.strip()
+    if stripped.startswith(">"):
+        return MASKED_AGE_SENTINEL if parse_value(stripped[1:]) == 89 else math.nan
+    return parse_value(text)
 
 
 def parse_value(text: str) -> float:
@@ -173,6 +177,14 @@ def parse_value(text: str) -> float:
     except ValueError:
         return math.nan
     return value if math.isfinite(value) else math.nan
+
+
+def parse_int(text: str, name: str = "number") -> int:
+    """An integer by the number rule of parse_value, as int() reads it; ValueError naming ``name``
+    for text with ``_`` or a non-ASCII character, and for text that int() does not read."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{name} {text!r} is not an ASCII integer")
+    return int(text)
 
 
 def grid_hours(unit_discharge_offset_minutes: int, max_hours: int = DEFAULT_MAX_GRID_HOURS) -> int:

@@ -118,6 +118,14 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"cannot read phenotype map {tiny_dump / 'phenotype_map.csv'}" in err and "can't decode" in err
 
+    @pytest.mark.parametrize("line", ["038.9,２", "785.5,1_0"])
+    def test_category_index_breaking_the_number_rule_is_data_error(self, tiny_dump, tmp_path, capsys, line):
+        # int() read these as categories 2 and 10
+        (tiny_dump / "phenotype_map.csv").write_text(f"icd9code,category_index\n{line}\n", encoding="utf-8")
+        assert main(["run", "--task", "phenotyping", "--model", "lr", "--data-dir", str(tiny_dump),
+                     "--folds", "2", "--epochs", "1", "--out", str(tmp_path / "o")]) == 3
+        assert f"phenotype_map.csv:2: bad category index {line.split(',')[1]!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("content", [
         None, "{not json", '{"Heart rate": "abc"}', '{"Heart rate": null}', '{"Heart rat": 80}',
         '{"Heart rate": true}',
@@ -251,6 +259,14 @@ class TestRunCommand:
     def test_missing_data_dir_is_data_error(self, tmp_path):
         assert main(["run", "--task", "los", "--data-dir", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("flag, value", [("--folds", "３"), ("--epochs", "1_0"), ("--seed", "٣")])
+    def test_number_flags_follow_the_number_rule(self, tmp_path, capsys, flag, value):
+        # int() reads these as 3, 10 and 3
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--task", "los", flag, value, "--data-dir", ".", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
 
     def test_unknown_task_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -90,9 +90,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, raw", [("learning_rate", "nan"), ("learning_rate", "inf"),
                                           ("learning_rate", "-0.1"), ("embed_dim_cap", "0"),
-                                          ("embed_dim_cap", "-3")])
+                                          ("embed_dim_cap", "-3"), ("epochs", "1_0"), ("folds", "３"),
+                                          ("learning_rate", "1_0.5")])
     def test_invalid_numbers(self, key, raw):
-        # unchecked, nan and inf give null metrics, -0.1 gradient ascent, and 0 or -3 a crash (exit 4)
+        # unchecked, nan and inf give null metrics, -0.1 gradient ascent, and 0 or -3 a crash (exit 4);
+        # int() and float() read 1_0, ３ and 1_0.5 as 10, 3 and 10.5
         with pytest.raises(ConfigError, match=key):
             config_from_sources({"task": "los", key: raw})
 

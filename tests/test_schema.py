@@ -84,6 +84,11 @@ class TestParsing:
         assert parse_age("> 89") == 90.0
         assert parse_age(">89") == 90.0
 
+    @pytest.mark.parametrize("text", [">abc", ">-5", "> 1e400"])
+    def test_text_after_the_mask_that_is_not_89_is_nan(self, text):
+        # any text after '>' read as the masked-age sentinel 90, so a mangled age passed the adult rule
+        assert math.isnan(parse_age(text))
+
     def test_plain_age(self):
         assert parse_age("82") == 82.0
 

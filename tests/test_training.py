@@ -1,10 +1,13 @@
 """Length-bucketed mini-batches and the ragged passes that evaluate them.
 
-A batch's rows are cut into passes of whole equal-length runs; inside a
-pass rows are end-aligned and the cells before a row's window are padding.
-These tests pin that padding changes no row's score or gradient, that the
-pass rule never splits a run (so data of one length trains as before), and
-that the batches of one length are those of plain shuffled mini-batches.
+A batch's rows are cut into passes of whole equal-length runs, and a run
+above the caller's ceiling into chunks of ceiling // T rows; inside a pass
+rows are end-aligned and the cells before a row's window are padding.
+These tests pin that padding changes no row's score or gradient, that a cut
+batch takes the whole batch's step, that every default batch is one
+training pass (so data of one length trains as before), that a large batch
+stays within its memory bound, and that the batches of one length are
+those of plain shuffled mini-batches.
 """
 
 import tracemalloc
@@ -20,6 +23,7 @@ from icubench.neural import build_model, grad_check
 from icubench.neural.models import real_cells
 from icubench.neural.training import (
     PASS_CELLS,
+    TRAIN_PASS_CELLS,
     InstanceSet,
     batch_loss_and_grads,
     make_epoch_batches,
@@ -148,20 +152,21 @@ class TestRaggedPass:
             assert g[:3].any(), name
 
     def test_batch_gradient_is_the_row_weighted_sum_of_its_passes(self):
-        # 40 rows of lengths 60..21 need several passes; together they are one ragged pass
+        # 40 rows of lengths 60..21 need several merged passes; 200 rows of length 40 are a run of 8,000
+        # cells, cut into 153 + 47 rows.  Either batch taken as one ragged pass gives the same step.
         rng = np.random.default_rng(6)
-        lengths = np.arange(60, 20, -1)
-        assert len(split_passes(lengths)) > 1
-        data = ragged_set(rng, Task.PHENOTYPING, lengths=lengths)
-        model = build_model("bilstm", Task.PHENOTYPING, rng, vocab_sizes=VOCABS, hidden=5).astype(np.float64)
-        rows = rng.permutation(len(lengths))
-        loss, grads = batch_loss_and_grads(model, data, rows)
-        num, cat, labels, lens = one_pass(data)
-        want_loss, want = model.loss_and_grads(num, cat, labels, lengths=lens)
-        assert abs(loss - want_loss) < 1e-12
-        assert grads.keys() == want.keys()
-        for name in want:
-            assert np.max(np.abs(grads[name] - want[name])) < 1e-12, name
+        for lengths, n_passes in ((np.arange(60, 20, -1), 2), (np.r_[np.full(200, 40), 30, 30, 7], 3)):
+            assert len(split_passes(lengths, TRAIN_PASS_CELLS)) == n_passes
+            data = ragged_set(rng, Task.PHENOTYPING, lengths=lengths)
+            model = build_model("bilstm", Task.PHENOTYPING, rng, vocab_sizes=VOCABS, hidden=5).astype(np.float64)
+            rows = rng.permutation(len(lengths))
+            loss, grads = batch_loss_and_grads(model, data, rows)
+            num, cat, labels, lens = one_pass(data)
+            want_loss, want = model.loss_and_grads(num, cat, labels, lengths=lens)
+            assert abs(loss - want_loss) < 1e-12
+            assert grads.keys() == want.keys()
+            for name in want:
+                assert np.max(np.abs(grads[name] - want[name])) < 1e-12, name
 
     def test_predict_scores_are_in_instance_order(self):
         rng = np.random.default_rng(7)
@@ -204,22 +209,35 @@ class TestUniformDataUnchanged:
             assert [b.tolist() for b in got] == [b.tolist() for b in want]
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(st.lists(st.integers(1, 80), min_size=1, max_size=200))
-    def test_passes_are_whole_runs_cut_greedily(self, values):
-        lengths = np.array(sorted(values, reverse=True))
-        passes = split_passes(lengths)
-        assert passes[0].start == 0 and passes[-1].stop == len(lengths)
-        for before, after in zip(passes, passes[1:]):
-            assert before.stop == after.start
-            assert lengths[before.stop - 1] != lengths[after.start]   # a run is never split
-            run_end = after.start + int(np.sum(lengths[after.start:] == lengths[after.start]))
-            assert (run_end - before.start) * lengths[before.start] > PASS_CELLS   # the next run did not fit
-        for part in passes:
-            several_runs = lengths[part.start] != lengths[part.stop - 1]
-            assert not several_runs or (part.stop - part.start) * lengths[part.start] <= PASS_CELLS
+    @given(st.lists(st.tuples(st.integers(1, 500), st.integers(1, 300)), min_size=1, max_size=8))
+    def test_passes_are_whole_runs_cut_greedily(self, runs):
+        # the one rule for both ceilings: runs merge greedily up to PASS_CELLS, and a run is split only
+        # when it exceeds the ceiling, into chunks of ceiling // T rows with the remainder last
+        lengths = np.repeat(*np.array(sorted(runs, reverse=True)).T)
+        run_start = {T: int(np.argmax(lengths == T)) for T in set(lengths.tolist())}
+        run_stop = {T: len(lengths) - int(np.argmax(lengths[::-1] == T)) for T in run_start}
+        for ceiling in (PASS_CELLS, TRAIN_PASS_CELLS):
+            passes = split_passes(lengths, ceiling)
+            assert passes[0].start == 0 and passes[-1].stop == len(lengths)
+            for before, after in zip(passes, passes[1:]):
+                assert before.stop == after.start
+            for part in passes:
+                T, rows = int(lengths[part.start]), part.stop - part.start
+                run_rows = run_stop[T] - run_start[T]
+                if run_rows * T > ceiling:
+                    step = max(1, ceiling // T)
+                    assert (part.start - run_start[T]) % step == 0 and rows == min(step, run_stop[T] - part.start)
+                    continue
+                assert part.start == run_start[T] and part.stop == run_stop[int(lengths[part.stop - 1])]
+                assert rows == run_rows or rows * T <= PASS_CELLS   # whole runs, several only within PASS_CELLS
+                if part.stop < len(lengths):   # the next run did not fit
+                    assert (run_stop[int(lengths[part.stop])] - part.start) * T > PASS_CELLS
 
     def test_a_uniform_batch_is_one_pass(self):
-        assert split_passes(np.full(128, 48)) == [slice(0, 128)]
+        # a default batch of 128 windows of decompensation or LoS (12 hours), mortality24 or mortality48
+        # trains as one pass, so same-seed reports of default configs take whole-batch steps
+        for T in (12, 24, 48):
+            assert split_passes(np.full(128, T), TRAIN_PASS_CELLS) == [slice(0, 128)]
 
 
 class TestPassMemory:
@@ -241,6 +259,30 @@ class TestPassMemory:
         tracemalloc.start()
         try:
             model.loss_and_grads(num, cat, labels, lengths=lens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_BYTES
+
+
+class TestBatchMemory:
+    # a mortality48 batch of 1,024 windows as one pass peaked at 273.6 MB; cut at TRAIN_PASS_CELLS into
+    # 8 passes it measured 34.8 MB, about one default 128-window batch (34.4 MB)
+    PEAK_BYTES = 36_000_000
+
+    def test_a_large_batch_trains_within_the_bound_of_a_default_batch(self):
+        # mortality48's shape: T 48, BiLSTM H 64 with trainable embeddings (input width 41)
+        vocabs = {name: 7 for name in VOCABS}
+        rng = np.random.default_rng(0)
+        model = build_model("bilstm", Task.MORTALITY, rng, vocab_sizes=vocabs, hidden=64)
+        lengths = np.full(1024, 48)
+        assert len(split_passes(lengths, TRAIN_PASS_CELLS)) == 8
+        data = ragged_set(rng, Task.MORTALITY, lengths=lengths, vocabs=vocabs)
+        rows = rng.permutation(len(lengths))
+        batch_loss_and_grads(model, data, rows)   # first-call allocations are not the step's
+        tracemalloc.start()
+        try:
+            batch_loss_and_grads(model, data, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
