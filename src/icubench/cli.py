@@ -27,7 +27,7 @@ from .experiment import (
     write_reports,
 )
 from .ingestion import load_dataset
-from .schema import parse_int
+from .schema import parse_float, parse_int
 from .synth import SynthConfig, generate
 
 EXIT_OK = 0
@@ -41,17 +41,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic data dump")
-    p_synth.add_argument("--patients", type=int, required=True)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--patients", type=parse_int, required=True)
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--hours-min", type=int, default=24)
-    p_synth.add_argument("--hours-max", type=int, default=72)
-    p_synth.add_argument("--missingness", type=float, default=0.1)
-    p_synth.add_argument("--mortality-rate", type=float, default=0.083)
-    p_synth.add_argument("--decomp-rate", type=float, default=0.065)
-    p_synth.add_argument("--signal", type=float, default=1.0)
-    p_synth.add_argument("--underage-fraction", type=float, default=0.0)
-    p_synth.add_argument("--sparse-fraction", type=float, default=0.0)
+    for flag, default in (("--seed", 0), ("--hours-min", 24), ("--hours-max", 72), ("--missingness", 0.1),
+                          ("--mortality-rate", 0.083), ("--decomp-rate", 0.065), ("--signal", 1.0),
+                          ("--underage-fraction", 0.0), ("--sparse-fraction", 0.0)):
+        p_synth.add_argument(flag, type=parse_int if isinstance(default, int) else parse_float, default=default)
 
     p_cohort = sub.add_parser("cohort", help="audit cohort selection on a data dump")
     p_cohort.add_argument("--data-dir", required=True)

@@ -44,8 +44,8 @@ from .schema import (
     TaskInstance,
     grid_hours,
     normal_values,
+    parse_float,
     parse_int,
-    parse_value,
     read_normal_values,
 )
 
@@ -188,10 +188,7 @@ def _coerce(annotation: str, key: str, raw: str):
         if annotation == "int":
             return parse_int(raw, "value")
         if annotation == "float":
-            value = parse_value(raw)
-            if math.isnan(value):
-                raise ValueError(f"{raw!r} is not a finite ASCII number")
-            return value
+            return parse_float(raw)
         if annotation == "bool":
             lowered = raw.lower()
             if lowered not in _BOOL_STRINGS:

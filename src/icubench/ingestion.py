@@ -13,7 +13,9 @@ these columns, in any order (other columns are ignored):
 
 An empty file or a missing column is a SchemaError.  _table_rows streams
 every table row by row; stay_table turns each lab and nurseCharting row in
-one pass into one columnar StayTable, 29 bytes a row.  A numerical value
+one pass into one columnar StayTable, 29 bytes a row.  It parses each
+distinct label, id or offset, and (variable, value) text once, in caches
+emptied at CACHE_ENTRIES entries each, about 15 MB in all.  A numerical value
 outside its schema.VALID_RANGES entry is kept as NaN (unobserved), like an
 unparseable one, and counted per table as out of range.  An age is read
 like any other value (schema.parse_age): a non-finite age is NaN, so it
@@ -134,8 +136,10 @@ _STATUS = {status.value: status for status in DischargeStatus}
 #: Patient offsets must also lie in the narrower schema.PATIENT_OFFSET_RANGE_MINUTES.
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
-#: Messages IngestionReport.render prints before summarizing the rest.
+#: Messages IngestionReport keeps and renders; the rest are only counted.
 MAX_MESSAGES = 200
+#: Entries of each stay_table text cache, at about 100 B (label), 113 B (id, offset) or 239 B (value) each.
+CACHE_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -148,6 +152,13 @@ class IngestionReport:
     rows_malformed: dict[str, int] = field(default_factory=dict)
     rows_out_of_range: dict[str, int] = field(default_factory=dict)   # kept rows whose value became NaN
     messages: list[str] = field(default_factory=list)
+    messages_cut: int = 0   # messages counted but not kept, past MAX_MESSAGES
+
+    def note(self, message: str) -> None:   # keep a message, or only count it once MAX_MESSAGES are kept
+        if len(self.messages) < MAX_MESSAGES:
+            self.messages.append(message)
+        else:
+            self.messages_cut += 1
 
     def render(self) -> str:
         tables = sorted(set(self.rows_read) | set(self.rows_kept))
@@ -162,8 +173,8 @@ class IngestionReport:
         if self.messages:
             lines.append("")
             lines.extend(self.messages[:MAX_MESSAGES])
-            if len(self.messages) > MAX_MESSAGES:
-                lines.append(f"{len(self.messages) - MAX_MESSAGES} more messages suppressed")
+            if cut := len(self.messages[MAX_MESSAGES:]) + self.messages_cut:
+                lines.append(f"{cut} more messages suppressed")
         return "\n".join(lines) + "\n"
 
 
@@ -216,7 +227,7 @@ def _table_rows(path, table: str, report: IngestionReport) -> Iterator[tuple[str
                 n += 1
                 if len(row) != width:
                     malformed += 1
-                    report.messages.append(f"{table} line {reader.line_num} skipped: not {width} cells")
+                    report.note(f"{table} line {reader.line_num} skipped: not {width} cells")
                     continue
                 yield pick(row)
         except UnicodeDecodeError as exc:
@@ -273,7 +284,7 @@ def load_stay_meta(path, report: IngestionReport | None = None) -> list[StayMeta
                 death_offset = _integer(death_text, "death offset", *PATIENT_OFFSET_RANGE_MINUTES)
             if stay_id in seen:
                 malformed += 1
-                report.messages.append(f"duplicate stay id {stay_id}; keeping first occurrence")
+                report.note(f"duplicate stay id {stay_id}; keeping first occurrence")
                 continue
             seen.add(stay_id)
             metas.append(
@@ -291,7 +302,7 @@ def load_stay_meta(path, report: IngestionReport | None = None) -> list[StayMeta
             )
         except ValueError as exc:
             malformed += 1
-            report.messages.append(f"patient row skipped: {exc}")
+            report.note(f"patient row skipped: {exc}")
     _add(report.rows_kept, PATIENT, len(metas))
     _add(report.rows_malformed, PATIENT, malformed)
     return metas
@@ -323,6 +334,22 @@ def load_diagnoses(path, report: IngestionReport | None = None) -> dict[int, fro
     return {sid: frozenset(cs) for sid, cs in codes.items()}
 
 
+class _TextCache(dict):
+    """Text -> parse(text), or None where parse raises ValueError; emptied at CACHE_ENTRIES entries."""
+
+    def __init__(self, parse):
+        self.parse = parse
+
+    def __missing__(self, text):
+        if len(self) >= CACHE_ENTRIES:
+            self.clear()
+        try:
+            self[text] = self.parse(text)
+        except ValueError:
+            self[text] = None
+        return self[text]
+
+
 def stay_table(metas: Iterable[StayMeta], tables: Mapping[str, Iterable[tuple[str, str, str, str]]],
                report: IngestionReport | None = None) -> tuple[StayTable, dict[int, int]]:
     """Parse each table's (stay id, offset, label, value text) rows, as _table_rows yields them, once.
@@ -334,8 +361,7 @@ def stay_table(metas: Iterable[StayMeta], tables: Mapping[str, Iterable[tuple[st
     returns how many table rows each stay has (demographics not counted).
     """
     report = report if report is not None else IngestionReport()
-    ids = {UNKNOWN: 0}
-    lo, hi = _INT64_MIN, _INT64_MAX   # locals: this check runs on every row
+    strings = {UNKNOWN: 0}
     columns = (array("q"), array("q"), array("b"), array("d"), array("i"))
     stay, offset, variable, value, code = (column.append for column in columns)
     for meta in metas:
@@ -353,47 +379,49 @@ def stay_table(metas: Iterable[StayMeta], tables: Mapping[str, Iterable[tuple[st
             offset(0)
             variable(j)
             value(parse_value(text))
-            code(ids.setdefault(text, len(ids)) if text else -1)
+            code(strings.setdefault(text, len(strings)) if text else -1)
     n_demographic = len(columns[0])
 
+    def parse_cell(key: tuple[int, str]) -> tuple[float, int, bool]:
+        """(value, code, out of range) of a (variable, value text) pair."""
+        j, text = key
+        x, stripped = parse_value(text), text.strip()
+        if j >= N_NUMERIC:
+            return x, strings.setdefault(stripped, len(strings)) if stripped else -1, False
+        bad = not _LOW[j] <= x <= _HIGH[j] and x == x   # NaN does not parse, so it is not out of range
+        return (math.nan if bad else x), -1, bad
+
+    labels, cells = _TextCache(lambda label: _LABEL_INDEX.get(label.strip(), -1)), _TextCache(parse_cell)
+    ints = _TextCache(lambda cell: _integer(str(cell), "cell"))   # id and offset cells; ints pass too
     for table, rows in tables.items():
         kept = unmapped = malformed = out_of_range = 0
         for stay_text, offset_text, label, text in rows:
-            j = _LABEL_INDEX.get(label.strip())
-            if j is None:
+            j = labels[label]
+            if j < 0:
                 unmapped += 1
                 continue
-            cells = f"{stay_text}{offset_text}"   # parse_int's rule inline, as this runs on every row; ints pass
-            try:
-                stay_id, minutes = int(stay_text), int(offset_text)
-                if "_" in cells or not cells.isascii() or not (lo <= stay_id <= hi and lo <= minutes <= hi):
-                    raise ValueError
-            except ValueError:
+            stay_id, minutes = ints[stay_text], ints[offset_text]
+            if stay_id is None or minutes is None:
                 malformed += 1
                 continue
             kept += 1
+            x, c, bad = cells[j, text]
+            out_of_range += bad
             stay(stay_id)
             offset(minutes)
             variable(j)
-            x = parse_value(text)
-            if j >= N_NUMERIC:
-                text = text.strip()
-                code(ids.setdefault(text, len(ids)) if text else -1)
-            else:
-                code(-1)
-                if not _LOW[j] <= x <= _HIGH[j] and x == x:   # NaN does not parse, so it is not out of range
-                    out_of_range += 1
-                    x = math.nan
             value(x)
+            code(c)
         _add(report.rows_kept, table, kept)
         _add(report.rows_unmapped_variable, table, unmapped)
         _add(report.rows_malformed, table, malformed)
         _add(report.rows_out_of_range, table, out_of_range)
+    del labels, ints, cells   # freed before the sort below, where load_dataset peaks
 
     stay_ids, stay_offsets, *rest = (np.frombuffer(column, dtype=column.typecode) for column in columns)
     counted, counts = np.unique(stay_ids[n_demographic:], return_counts=True)
     order = np.lexsort((stay_offsets, stay_ids))
-    table = StayTable(*(column[order] for column in (stay_ids, stay_offsets, *rest)), strings=tuple(ids))
+    table = StayTable(*(column[order] for column in (stay_ids, stay_offsets, *rest)), strings=tuple(strings))
     return table, dict(zip(counted.tolist(), counts.tolist()))
 
 

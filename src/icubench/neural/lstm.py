@@ -20,11 +20,7 @@ begun at step t, which is a prefix of the batch.  Both passes touch only
 that prefix (``h[:k] @ Wh.T``, the cell update, ``dz``); the other rows keep
 h = c = 0 and a zero gate gradient, so a row's states and gradients are
 those of the row run alone, and padding costs only the time-parallel GEMMs
-over its cells.  A BiLSTM training pass peaks at about 5.5 KB per cell in
-float32 (``tracemalloc``, input width 62, hidden 64): about 11 MB at the
-2,048 cells of ``training.PASS_CELLS``, and 34.4 MB at the 6,144 of
-``training.TRAIN_PASS_CELLS``, the most cells a training pass holds unless
-one window is longer.  The input gradient, which only a trainable embedding
+over its cells.  The input gradient, which only a trainable embedding
 reads, is skipped with ``input_grad=False``.
 
 The forward cache is time-major, so each step t = 0..T-1 reads and writes
@@ -42,6 +38,12 @@ writes each step's gate gradient into a batch-major ``[B, T, 4H]`` array
 and builds h_{t-1} in one batch-major ``[B, T, H]`` buffer, so the weight
 and input gradients are single ``[B*T, ·]`` GEMMs whose rows run
 batch-major.
+
+Buffers.  With a ``PassBuffers`` a pass reuses the last pass's arrays, not
+faulting in fresh ones: each direction's ``gates``, ``hs``, ``c_prev`` (h_{t-1}
+once the backward loop is done with it) and ``tanh_c``, and one ``[B*T, 4H]``
+array for both, the input GEMM's output and then ``dz_all``.  ``hs`` is zeroed
+each pass, the rest is written before it is read, and results last one pass.
 
 Every buffer is allocated in the dtype of ``Wh``, and ``x`` and ``dh_last``
 are cast to it, so the kernel runs in the parameters' precision: models
@@ -76,7 +78,28 @@ def _active_rows(active, B: int, T: int) -> list[int]:
     return steps
 
 
-def lstm_forward(x: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray, *, active=None):
+class PassBuffers:
+    """Work arrays for one call's passes (see "Buffers"); ``direction(tag)`` keys all names but ``z`` by tag.
+
+    ``take`` returns a stale view of an array first made for at least ``cells`` cells of width ``shape[-1]``,
+    so smaller passes never regrow it: regrown arrays left heap holes (+3.7 MB peak RSS on phenotyping)."""
+
+    def __init__(self, cells: int = 0, arrays: dict | None = None, tag: str = ""):
+        self.cells, self._arrays, self._tag = cells, {} if arrays is None else arrays, tag
+
+    def direction(self, tag: str) -> "PassBuffers":
+        return PassBuffers(self.cells, self._arrays, tag)
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        key, size = name if name == "z" else (self._tag, name), int(np.prod(shape))
+        flat = self._arrays.get(key)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._arrays[key] = np.empty(max(size, self.cells * shape[-1]), dtype)
+        return flat[:size].reshape(shape)
+
+
+def lstm_forward(x: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray, *, active=None,
+                 buffers: PassBuffers | None = None):
     """One direction over x [B, T, D]; returns hidden states [B, T, H] + cache.
 
     ``active[t]`` rows (a prefix) run step t; the others keep h = c = 0.
@@ -88,11 +111,14 @@ def lstm_forward(x: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray, *
     steps = _active_rows(active, B, T)
     dtype = Wh.dtype
     x = np.asarray(x, dtype=dtype)
-    gates = np.empty((T, B, 4 * H), dtype)
-    np.add((x.reshape(B * T, D) @ Wx.T).reshape(B, T, 4 * H).transpose(1, 0, 2), b, out=gates)
-    hs = np.zeros((T, B, H), dtype)   # rows that have not begun stay at h = 0
-    c_prev = np.empty((T, B, H), dtype)
-    tanh_c = np.empty((T, B, H), dtype)
+    take = buffers.take if buffers else lambda name, shape, dtype: np.empty(shape, dtype)
+    gates = take("gates", (T, B, 4 * H), dtype)
+    np.add(np.matmul(x.reshape(B * T, D), Wx.T, out=take("z", (B * T, 4 * H), dtype))
+           .reshape(B, T, 4 * H).transpose(1, 0, 2), b, out=gates)
+    hs = take("hs", (T, B, H), dtype)
+    hs.fill(0.0)   # rows that have not begun stay at h = 0
+    c_prev = take("c_prev", (T, B, H), dtype)
+    tanh_c = take("tanh_c", (T, B, H), dtype)
     h = np.zeros((B, H), dtype)
     c = np.zeros((B, H), dtype)
     for t, k in enumerate(steps):
@@ -113,19 +139,20 @@ def lstm_forward(x: np.ndarray, Wx: np.ndarray, Wh: np.ndarray, b: np.ndarray, *
 
 
 def lstm_backward(dh_last: np.ndarray, cache, Wx: np.ndarray, Wh: np.ndarray, *, active=None,
-                  input_grad: bool = True):
+                  input_grad: bool = True, buffers: PassBuffers | None = None):
     """BPTT for one direction; dh_last [B, H] is the gradient w.r.t. the last h_t.
 
     Returns (dx [B, T, D], parameter gradients); dx is None when
-    ``input_grad`` is False.  ``active`` must be the forward pass's;
-    inactive rows get a zero gate gradient.
+    ``input_grad`` is False.  ``active`` and ``buffers`` must be the forward
+    pass's; inactive rows get a zero gate gradient.
     """
     x, hs, gates, c_prev, tanh_c = cache["x"], cache["hs"], cache["gates"], cache["c_prev"], cache["tanh_c"]
     B, T, D = x.shape
     H = Wh.shape[1]
     steps = _active_rows(active, B, T)
     dtype = Wh.dtype
-    dz_all = np.empty((B, T, 4 * H), dtype)
+    take = buffers.take if buffers else lambda name, shape, dtype: np.empty(shape, dtype)
+    dz_all = take("z", (B, T, 4 * H), dtype)
     dh = np.asarray(dh_last, dtype=dtype)
     dc_next = np.zeros((B, H), dtype)
     for t in range(T - 1, -1, -1):
@@ -146,11 +173,11 @@ def lstm_backward(dh_last: np.ndarray, cache, Wx: np.ndarray, Wh: np.ndarray, *,
         dz[:, 3 * H:] = dc * i * (1.0 - g * g)
         dh = dz @ Wh
     flat_dz = dz_all.reshape(B * T, 4 * H)
-    h_prev = np.empty((B, T, H), dtype)
+    h_prev = take("c_prev", (B, T, H), dtype)   # the loop is done with c_prev: reuse its buffer
     h_prev[:, 0] = 0.0
     h_prev[:, 1:] = hs[:-1].transpose(1, 0, 2)
     dWh = flat_dz.T @ h_prev.reshape(B * T, H)
-    del h_prev   # freed before dx exists, so the two never add to peak memory
+    del h_prev   # without buffers, freed before dx exists, so the two never add to peak memory
     dWx = flat_dz.T @ x.reshape(B * T, D)
     db = dz_all.sum(axis=(0, 1))
     dx = (flat_dz @ Wx).reshape(B, T, D) if input_grad else None

@@ -147,14 +147,14 @@ class BaseModel:
         return dz @ self.params["head/W"], grads
 
     # subclasses: representation of the window
-    def _core(self, x, lengths=None):  # -> (rep, cache, relu_preacts)
+    def _core(self, x, lengths=None, buffers=None):  # -> (rep, cache, relu_preacts)
         raise NotImplementedError
 
     def _core_backward(self, drep, cache, input_grad=True):  # -> (dx, grads); dx may be None if not input_grad
         raise NotImplementedError
 
-    def predict(self, num, cat, *, lengths=None) -> np.ndarray:
-        rep, _, _ = self._core(self._assemble(num, cat, lengths), lengths)
+    def predict(self, num, cat, *, lengths=None, buffers=None) -> np.ndarray:
+        rep, _, _ = self._core(self._assemble(num, cat, lengths), lengths, buffers)
         return self._head_out(rep)[1]
 
     def loss_forward(self, num, cat, labels, *, lengths=None) -> tuple[float, list[np.ndarray]]:
@@ -166,9 +166,9 @@ class BaseModel:
             preacts = preacts + [z[:, 0]]
         return loss, preacts
 
-    def loss_and_grads(self, num, cat, labels, dropout: float = 0.0, dropout_rng=None, *, lengths=None):
+    def loss_and_grads(self, num, cat, labels, dropout: float = 0.0, dropout_rng=None, *, lengths=None, buffers=None):
         x = self._assemble(num, cat, lengths)
-        rep, cache, _ = self._core(x, lengths)
+        rep, cache, _ = self._core(x, lengths, buffers)
         mask = None
         if dropout > 0.0 and dropout_rng is not None:
             mask = (dropout_rng.random(rep.shape) >= dropout).astype(rep.dtype) / (1.0 - dropout)
@@ -195,7 +195,7 @@ class LinearModel(BaseModel):
         self.params["head/W"] = glorot(rng, OUT_DIM[task], self.input_width)
         self.params["head/b"] = np.zeros(OUT_DIM[task])
 
-    def _core(self, x, lengths=None):
+    def _core(self, x, lengths=None, buffers=None):
         counts = _row_lengths(x, lengths).astype(x.dtype)[:, None]
         return x.sum(axis=1) / counts, {"counts": counts, "shape": x.shape}, []
 
@@ -216,7 +216,7 @@ class AnnModel(BaseModel):
         self.params["head/W"] = glorot(rng, OUT_DIM[task], hidden)
         self.params["head/b"] = np.zeros(OUT_DIM[task])
 
-    def _core(self, x, lengths=None):
+    def _core(self, x, lengths=None, buffers=None):
         counts = _row_lengths(x, lengths).astype(x.dtype)[:, None]
         pooled = x.sum(axis=1) / counts
         z1 = pooled @ self.params["hidden/W"].T + self.params["hidden/b"]
@@ -249,7 +249,7 @@ class BilstmModel(BaseModel):
         self.params["head/W"] = glorot(rng, OUT_DIM[task], 2 * hidden)
         self.params["head/b"] = np.zeros(OUT_DIM[task])
 
-    def _core(self, x, lengths=None):
+    def _core(self, x, lengths=None, buffers=None):
         B, T = x.shape[:2]
         if T < 1:
             raise ValueError("sequence must be nonempty")
@@ -262,21 +262,22 @@ class BilstmModel(BaseModel):
         p = self.params
         summary, caches = [], []
         for tag, seq in zip(self.directions, (x, _cells(x, reverse))):
-            hs, cache = lstm.lstm_forward(seq, p[f"{tag}/Wx"], p[f"{tag}/Wh"], p[f"{tag}/b"], active=active)
+            hs, cache = lstm.lstm_forward(seq, p[f"{tag}/Wx"], p[f"{tag}/Wh"], p[f"{tag}/b"], active=active,
+                                          buffers=buffers and buffers.direction(tag))
             summary.append(hs[:, -1])
             caches.append(cache)
-        return np.concatenate(summary, axis=1), (caches, active, reverse), []
+        return np.concatenate(summary, axis=1), (caches, active, reverse, buffers), []
 
     def _core_backward(self, drep, cache, input_grad=True):
-        caches, active, reverse = cache
+        caches, active, reverse, buffers = cache
         p = self.params
         grads, dxs = {}, []
         for tag, dh_last, c in zip(self.directions, np.split(drep, 2, axis=1), caches):
             dx, g = lstm.lstm_backward(dh_last, c, p[f"{tag}/Wx"], p[f"{tag}/Wh"], active=active,
-                                       input_grad=input_grad)
+                                       input_grad=input_grad, buffers=buffers and buffers.direction(tag))
             grads.update({f"{tag}/{name}": v for name, v in g.items()})
             dxs.append(dx)
-        return (dxs[0] + _cells(dxs[1], reverse) if input_grad else None), grads
+        return (np.add(dxs[0], _cells(dxs[1], reverse), out=dxs[0]) if input_grad else None), grads
 
 
 def build_model(

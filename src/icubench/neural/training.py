@@ -32,7 +32,9 @@ cells.  With the raw stay table freed before the folds, the run on the
 seed-1 phenotyping benchmark dump peaks at 65.9 MB, and 72.8 MB with 3,072
 cells.  ``TRAIN_PASS_CELLS`` is 128 x 48, the largest one-length batch of a
 default config (mortality48), so every default batch stays one pass; that
-pass peaks at 34.4 MB.
+pass peaks at 34.4 MB allocating its arrays, as ``TestPassMemory`` measures.
+A ``lstm.PassBuffers`` of 4.6 KB a cell, held by ``train_model`` and
+``predict_scores`` until they return, makes a 3,072-cell pass peak 1% higher.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adam import Adam
+from .lstm import PassBuffers
 from .models import BaseModel, real_cells
 
 #: Most cells (rows x longest length) that equal-length runs merge up to, and the prediction ceiling.
@@ -158,12 +161,14 @@ def train_model(
 ) -> list[float]:
     """Adam training; returns the mean loss per epoch."""
     opt = Adam(model.params, model.trainable, step_size=step_size)
+    T, n = np.unique(data.lengths, return_counts=True)   # no pass outgrows a batch's run of one length, or PASS_CELLS
+    buffers = PassBuffers(max(PASS_CELLS, min(TRAIN_PASS_CELLS, np.max(np.minimum(n, batch_size) * T, initial=0))))
     history = []
     for epoch in range(epochs):
         total = 0.0
         for bi, rows in enumerate(make_epoch_batches(data.lengths, batch_size, rng)):
             loss, grads = batch_loss_and_grads(
-                model, data, rows, dropout=dropout, dropout_rng=rng if dropout > 0 else None
+                model, data, rows, dropout=dropout, dropout_rng=rng if dropout > 0 else None, buffers=buffers
             )
             opt.step(grads, batch_id=f"epoch {epoch} batch {bi}")
             total += loss * len(rows)
@@ -176,9 +181,9 @@ def predict_scores(model: BaseModel, data: InstanceSet) -> np.ndarray:
     PASS_CELLS cells."""
     if len(data) == 0:
         return np.zeros((0,))
-    out = None
+    out, buffers = None, PassBuffers(PASS_CELLS)
     for rows, (num, cat, _, lengths) in _passes(data, np.arange(len(data)), PASS_CELLS):
-        preds = model.predict(num, cat, lengths=lengths)
+        preds = model.predict(num, cat, lengths=lengths, buffers=buffers)
         if out is None:
             out = np.full((len(data), 1 if preds.ndim == 1 else preds.shape[1]), np.nan)
         out[rows] = preds.reshape(len(preds), -1)

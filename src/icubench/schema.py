@@ -187,6 +187,13 @@ def parse_int(text: str, name: str = "number") -> int:
     return int(text)
 
 
+def parse_float(text: str, name: str = "value") -> float:
+    """A finite number by the rule of parse_value; ValueError naming ``name`` for any other text."""
+    if math.isnan(value := parse_value(text)):
+        raise ValueError(f"{name} {text!r} is not a finite ASCII number")
+    return value
+
+
 def grid_hours(unit_discharge_offset_minutes: int, max_hours: int = DEFAULT_MAX_GRID_HOURS) -> int:
     """Number of hourly rows for a stay: ceil(offset/60), clipped at max_hours."""
     return min(-(-int(unit_discharge_offset_minutes) // 60), int(max_hours))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icubench import ingestion
 from icubench.cli import main
 from icubench.ingestion import TABLE_FILES, load_dataset
 from icubench.preprocessing import build_vocabs, categorical_index
@@ -31,6 +32,17 @@ class TestSynthCommand:
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         assert main(["synth", "--patients", "10", "--seed", "-1", "--out", str(tmp_path / "d")]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--patients", "1_0"), ("--seed", "３"), ("--hours-max", "7_2"),
+                                             ("--signal", "1_0.5"), ("--missingness", "nan")])
+    def test_synth_flags_follow_the_number_rule(self, tmp_path, capsys, flag, value):
+        # int() and float() read the first four as 10, 3, 72 and 10.5
+        args = {"--patients": "10", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", *(item for pair in args.items() for item in pair), "--out", str(tmp_path / "d")])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
 
 class TestCohortCommand:
@@ -192,6 +204,20 @@ class TestEdgeTokenFuzz:
             assert got.values == want.values
             assert np.array_equal(got.remap, want.remap)
             assert got.source_stays == want.source_stays
+
+    def test_a_small_cache_bound_reads_the_same_dataset(self, fuzzed_dump, monkeypatch):
+        # stay_table's per-text caches are emptied at CACHE_ENTRIES entries; emptying them at every
+        # third text must read the same table, counters and messages
+        want = load_dataset(fuzzed_dump)
+        monkeypatch.setattr(ingestion, "CACHE_ENTRIES", 2)
+        got = load_dataset(fuzzed_dump)
+        for column in ("stay", "offset", "variable", "value", "code"):
+            assert getattr(got.table, column).tobytes() == getattr(want.table, column).tobytes()
+        assert got.table.strings == want.table.strings
+        assert got.record_counts == want.record_counts
+        assert got.report == want.report
+        cache = ingestion._TextCache(str.upper)
+        assert [cache[text] for text in "abcab"] == list("ABCAB") and len(cache) <= 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")   # an overflow in training is not a clean exit 0
     @pytest.mark.parametrize("task, model", [("mortality24", "lr"), ("decompensation", "lr"), ("los", "ann"),

@@ -7,6 +7,7 @@ import pytest
 from icubench.errors import SchemaError
 from icubench.ingestion import (
     DEFAULT_VARIABLE_MAP,
+    MAX_MESSAGES,
     TABLE_COLUMNS,
     TABLE_FILES,
     IngestionReport,
@@ -363,6 +364,27 @@ class TestReport:
         assert load_diagnoses(diagnosis, report) == {}
         assert report == IngestionReport()
         assert report.render() == "ingestion report\n================\n"
+
+    def test_a_bad_id_or_offset_text_is_malformed_each_time_it_appears(self, tmp_path):
+        # each distinct cell text is parsed once; a bad text read from the cache still counts its row
+        report = IngestionReport()
+        lab = write(tmp_path / "lab.csv", ["patientunitstayid,labresultoffset,labname,labresult",
+                                           "1_00016,95,pH,7.31", "7,1_00016,pH,7.31", "7,95,pH,7.3",
+                                           "1_00016,95,pH,7.31", "7,1_00016,pH,7.2", "7,95,pH,1_0.5"])
+        assert measurements(lab, "lab", report) == [(7, "pH", 95, 7.3), (7, "pH", 95, None)]
+        assert report.rows_malformed == {"lab": 4} and report.rows_kept == {"lab": 2}
+
+    def test_ragged_rows_keep_the_messages_they_render(self, tmp_path):
+        # every ragged row used to keep a message string, though render prints only MAX_MESSAGES
+        report = IngestionReport()
+        lab = write(tmp_path / "lab.csv", ["patientunitstayid,labresultoffset,labname,labresult",
+                                           *(["7,95,pH"] * 10_000), "7,95,pH,7.3"])
+        assert len(measurements(lab, "lab", report)) == 1
+        assert report.rows_malformed == {"lab": 10_000}
+        assert len(report.messages) <= MAX_MESSAGES
+        every = [f"lab line {line} skipped: not 4 cells" for line in range(2, 10_002)]
+        assert report.render() == IngestionReport(report.rows_read, report.rows_kept, messages=every,
+                                                  rows_malformed=report.rows_malformed).render()
 
     def test_render_says_how_many_messages_were_cut(self):
         report = IngestionReport(messages=[f"message {i}" for i in range(205)])

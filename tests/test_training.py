@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from _reference import ref_make_epoch_batches, ref_window_copies
 from icubench.neural import build_model, grad_check
+from icubench.neural.lstm import PassBuffers
 from icubench.neural.models import real_cells
 from icubench.neural.training import (
     PASS_CELLS,
@@ -29,6 +30,7 @@ from icubench.neural.training import (
     make_epoch_batches,
     predict_scores,
     split_passes,
+    train_model,
 )
 from icubench.schema import N_NUMERIC, Task
 
@@ -187,9 +189,9 @@ class TestRaggedPass:
         whole = model.predict
         cells = []
 
-        def counted(num, cat, *, lengths=None):
+        def counted(num, cat, **kwargs):
             cells.append(num.shape[0] * num.shape[1])
-            return whole(num, cat, lengths=lengths)
+            return whole(num, cat, **kwargs)
 
         monkeypatch.setattr(model, "predict", counted)
         scores = predict_scores(model, data)
@@ -287,3 +289,49 @@ class TestBatchMemory:
         finally:
             tracemalloc.stop()
         assert peak < self.PEAK_BYTES
+
+
+class TestPassBuffers:
+    """The passes of one train_model or predict_scores call share one set of kernel buffers."""
+
+    def test_reused_buffers_give_the_bits_of_fresh_ones(self):
+        # a uniform 128 x 24 pass, then a shorter ragged pass that reads the stale hs and dz_all rows the
+        # first one left, then a larger pass that grows every buffer
+        vocabs = {name: 7 for name in VOCABS}
+        rng = np.random.default_rng(3)
+        model = build_model("bilstm", Task.MORTALITY, rng, vocab_sizes=vocabs, hidden=64)
+        buffers = PassBuffers()
+        for lengths in (np.full(128, 24), np.sort(rng.integers(1, 31, size=40))[::-1], np.full(160, 30)):
+            num, cat, labels, lens = one_pass(ragged_set(rng, Task.MORTALITY, lengths=lengths, vocabs=vocabs))
+            loss, grads = model.loss_and_grads(num, cat, labels, lengths=lens)
+            reused_loss, reused_grads = model.loss_and_grads(num, cat, labels, lengths=lens, buffers=buffers)
+            assert reused_loss == loss and reused_grads.keys() == grads.keys()
+            for name, g in grads.items():
+                assert reused_grads[name].tobytes() == g.tobytes(), name
+            scores = model.predict(num, cat, lengths=lens)
+            assert model.predict(num, cat, lengths=lens, buffers=buffers).tobytes() == scores.tobytes()
+
+    def test_a_repeated_pass_allocates_under_half_of_the_first(self, monkeypatch):
+        # two 128 x 24 passes in one train_model: the second reuses the buffers the first allocated
+        vocabs = {name: 7 for name in VOCABS}
+        rng = np.random.default_rng(0)
+        model = build_model("bilstm", Task.MORTALITY, rng, vocab_sizes=vocabs, hidden=64)
+        data = ragged_set(rng, Task.MORTALITY, lengths=np.full(256, 24), vocabs=vocabs)
+        whole = model.loss_and_grads
+        allocated = []
+
+        def traced(*args, **kwargs):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            result = whole(*args, **kwargs)
+            allocated.append(tracemalloc.get_traced_memory()[1] - start)
+            return result
+
+        monkeypatch.setattr(model, "loss_and_grads", traced)
+        tracemalloc.start()
+        try:
+            train_model(model, data, epochs=1, batch_size=128, rng=rng)
+        finally:
+            tracemalloc.stop()
+        assert len(allocated) == 2
+        assert allocated[1] < allocated[0] / 2
