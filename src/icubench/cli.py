@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .experiment import (
     write_reports,
 )
 from .ingestion import load_dataset
-from .schema import parse_float, parse_int
+from .schema import json_number, parse_float, parse_int
 from .synth import SynthConfig, generate
 
 EXIT_OK = 0
@@ -141,15 +142,9 @@ def _read_report(path) -> dict:
         if not (isinstance(fold, dict) and isinstance(fold.get("metrics"), dict)):
             raise DataError(f"{path}: not a report (a fold has no metrics)")
         for key, value in fold["metrics"].items():
-            if value is not None and not _is_finite_number(value):
+            if value is not None and math.isnan(json_number(value)):
                 raise DataError(f"{path}: not a report (fold {i} metric {key!r} is {value!r}, not a finite number)")
     return doc
-
-
-def _is_finite_number(value) -> bool:
-    # JSON reads 1e400 as inf; an int is compared exactly, so one too large for a float fails too
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
 
 
 def _cmd_compare(args) -> int:

@@ -29,7 +29,7 @@ import numpy as np
 from . import cohort as cohort_mod
 from . import evaluation
 from .errors import ConfigError, DataError, IcubenchError
-from .ingestion import TABLE_FILES, Dataset, load_dataset
+from .ingestion import Dataset, load_dataset
 from .neural import build_model, predict_scores, train_model
 from .neural.checkpoint import save_checkpoint, schema_hash
 from .neural.training import InstanceSet
@@ -336,24 +336,24 @@ def base_cohort(dataset: Dataset) -> tuple[cohort_mod.CohortReport, tuple[str, s
     return base, (dataset.report.render(), base.render(), demographics)
 
 
-def _build_instances(cfg: ExperimentConfig, hours, metas, diagnoses, catalog) -> list[TaskInstance]:
+def _build_instances(cfg: ExperimentConfig, hours, metas, diagnoses) -> list[TaskInstance]:
+    """The task's windows; only phenotyping reads a phenotype map, ``phenotype_map`` or the data dump's."""
     if cfg.task_kind == Task.MORTALITY:
         return cohort_mod.build_mortality_instances(hours, metas, cfg.mortality_horizon)
     if cfg.task_kind == Task.LOS:
         return cohort_mod.build_los_instances(hours, metas)
     if cfg.task_kind == Task.DECOMPENSATION:
         return cohort_mod.build_decomp_instances(hours, metas)
-    if catalog is None:
-        raise DataError("phenotyping needs a phenotype code map (phenotype_map.csv)")
-    return cohort_mod.build_phenotype_instances(hours, diagnoses, catalog)
+    map_path = Path(cfg.phenotype_map) if cfg.phenotype_map else Path(cfg.data_dir) / "phenotype_map.csv"
+    return cohort_mod.build_phenotype_instances(hours, diagnoses, PhenotypeCatalog.from_file(map_path))
 
 
-def _stacked_windows(cfg: ExperimentConfig, dataset: Dataset, stays, normals, catalog):
+def _stacked_windows(cfg: ExperimentConfig, dataset: Dataset, stays, normals):
     """The task's windows, cut from the stays' hours, into one stacked grid of each windowed
     stay's rows up to its last window end, stays in id order.
     Returns (stay ids, starts, lengths, labels, rows), one entry per instance."""
     hours = {sid: grid_hours(dataset.metas[sid].unit_discharge_offset_minutes, cfg.max_hours) for sid in stays}
-    instances = _build_instances(cfg, hours, dataset.metas, dataset.diagnoses, catalog)
+    instances = _build_instances(cfg, hours, dataset.metas, dataset.diagnoses)
     if not instances:
         raise DataError(f"task {cfg.task!r} produced no instances on this data")
     stay, start, end, labels = zip(*instances)
@@ -412,18 +412,10 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     """Execute one (task, model, encoding, variables) experiment end to end."""
     started = time.perf_counter()
     normals = read_normal_values(cfg.normal_values_file) if cfg.normal_values_file else normal_values()
-    data_dir = Path(cfg.data_dir)
-    for table, filename in TABLE_FILES.items():
-        if table != "diagnosis" and not (data_dir / filename).exists():
-            raise DataError(f"missing input table {data_dir / filename}")
-    dataset = load_dataset(data_dir)
+    dataset = load_dataset(cfg.data_dir)
 
     base, audit = base_cohort(dataset)
-    catalog = None
-    map_path = Path(cfg.phenotype_map) if cfg.phenotype_map else data_dir / "phenotype_map.csv"
-    if map_path.exists():
-        catalog = PhenotypeCatalog.from_file(map_path)
-    stay, starts, lengths, labels, rows = _stacked_windows(cfg, dataset, base.included, normals, catalog)
+    stay, starts, lengths, labels, rows = _stacked_windows(cfg, dataset, base.included, normals)
     metas, vocab_index = dataset.metas, categorical_index(dataset.table)
     del dataset   # frees the StayTable: the folds read only metas, the stacked rows and vocab_index
 

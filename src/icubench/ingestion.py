@@ -11,9 +11,11 @@ these columns, in any order (other columns are ignored):
                        nursingchartcelltypevallabel, nursingchartvalue
     diagnosis.csv      patientunitstayid, icd9code
 
-An empty file or a missing column is a SchemaError.  _table_rows streams
-every table row by row; stay_table turns each lab and nurseCharting row in
-one pass into one columnar StayTable, 29 bytes a row.  It parses each
+A missing table other than diagnosis.csv is a DataError ("missing input
+table <path>"), raised where _table_rows opens it; an empty file or a
+missing column is a SchemaError.  _table_rows streams every table row by
+row; stay_table turns each lab and nurseCharting row in one pass into one
+columnar StayTable, 29 bytes a row.  It parses each
 distinct label, id or offset, and (variable, value) text once, in caches
 emptied at CACHE_ENTRIES entries each, about 15 MB in all.  A numerical value
 outside its schema.VALID_RANGES entry is kept as NaN (unobserved), like an
@@ -32,7 +34,8 @@ whose discharge or death offset is outside
 schema.PATIENT_OFFSET_RANGE_MINUTES (0 to five years) are counted as
 malformed and skipped; a file that is not UTF-8 or that the CSV parser
 cannot read (an unterminated quote running past the field size limit, for
-instance), and a record over several lines, are data errors.
+instance), and a record over several lines, are data errors.  The report
+formats the first MAX_MESSAGES messages on skipped rows and counts the rest.
 
 Where the source data offers the same variable under several labels, the
 default alias map below documents the choice: vitals, GCS components,
@@ -154,9 +157,10 @@ class IngestionReport:
     messages: list[str] = field(default_factory=list)
     messages_cut: int = 0   # messages counted but not kept, past MAX_MESSAGES
 
-    def note(self, message: str) -> None:   # keep a message, or only count it once MAX_MESSAGES are kept
+    def note(self, template: str, *args) -> None:
+        """Keep the message template.format(*args); once MAX_MESSAGES are kept, only count it, unformatted."""
         if len(self.messages) < MAX_MESSAGES:
-            self.messages.append(message)
+            self.messages.append(template.format(*args))
         else:
             self.messages_cut += 1
 
@@ -191,12 +195,14 @@ def _table_rows(path, table: str, report: IngestionReport) -> Iterator[tuple[str
     the header is counted as malformed and skipped.  When a header names a
     column twice, its last occurrence is read.  Rows read (blank lines
     aside) and malformed rows are counted once, when the iteration ends.
-    A record spanning several physical lines (a quote left open, for
-    instance) is a DataError.
+    A missing file, and a record spanning several physical lines (a quote
+    left open, for instance), is a DataError.
     """
     columns = TABLE_COLUMNS[table]
     try:
         fh = open(path, newline="", encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise DataError(f"missing input table {path}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     n = malformed = 0
@@ -227,7 +233,7 @@ def _table_rows(path, table: str, report: IngestionReport) -> Iterator[tuple[str
                 n += 1
                 if len(row) != width:
                     malformed += 1
-                    report.note(f"{table} line {reader.line_num} skipped: not {width} cells")
+                    report.note("{} line {} skipped: not {} cells", table, reader.line_num, width)
                     continue
                 yield pick(row)
         except UnicodeDecodeError as exc:
@@ -284,7 +290,7 @@ def load_stay_meta(path, report: IngestionReport | None = None) -> list[StayMeta
                 death_offset = _integer(death_text, "death offset", *PATIENT_OFFSET_RANGE_MINUTES)
             if stay_id in seen:
                 malformed += 1
-                report.note(f"duplicate stay id {stay_id}; keeping first occurrence")
+                report.note("duplicate stay id {}; keeping first occurrence", stay_id)
                 continue
             seen.add(stay_id)
             metas.append(
@@ -302,7 +308,7 @@ def load_stay_meta(path, report: IngestionReport | None = None) -> list[StayMeta
             )
         except ValueError as exc:
             malformed += 1
-            report.note(f"patient row skipped: {exc}")
+            report.note("patient row skipped: {}", exc)
     _add(report.rows_kept, PATIENT, len(metas))
     _add(report.rows_malformed, PATIENT, malformed)
     return metas

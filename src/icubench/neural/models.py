@@ -10,9 +10,10 @@ the sequence model sees, embeddings included.
 Every entry point takes an optional keyword-only ``lengths``: the rows'
 window lengths, longest first, for a pass whose rows are end-aligned (row r
 is its last ``lengths[r]`` steps; the steps before are padding).  Padding
-cells enter the model as zeros, the pooled models average each row over its
-own length, the BiLSTM starts each row at its first real step and reverses
-it within its own length, and no embedding row receives gradient from a
+cells may hold anything the embedding tables can index: ``_assemble``
+zeroes them in the input, the pooled models average each row over its own
+length, the BiLSTM starts each row at its first real step and reverses it
+within its own length, and no embedding row receives gradient from a
 padding cell.  ``lengths=None`` means every row fills all T steps.
 """
 
@@ -106,25 +107,23 @@ class BaseModel:
     def input_width(self) -> int:
         return (N_NUMERIC if self.use_numeric else 0) + (self.emb.width if self.emb else 0)
 
-    def _assemble(self, num: np.ndarray | None, cat: np.ndarray | None, lengths) -> np.ndarray:
+    def _assemble(self, num: np.ndarray | None, cat: np.ndarray | None, lengths):
+        """(x, lengths, real): the [B, T, D] input, padding zeroed, with the checked lengths and real_cells."""
         parts = []
         if self.use_numeric:
             parts.append(np.asarray(num, dtype=self.dtype))
         if self.emb is not None:
             parts.append(self.emb.forward(cat))
         x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-        if lengths is not None:
-            x = np.where(real_cells(_row_lengths(x, lengths), x.shape[1])[..., None], x, 0.0)
-        return x
+        lengths = _row_lengths(x, lengths)
+        real = real_cells(lengths, x.shape[1])
+        return np.where(real[..., None], x, 0.0), lengths, real
 
-    def _emb_grads(self, dx: np.ndarray, cat: np.ndarray | None, lengths) -> dict[str, np.ndarray]:
+    def _emb_grads(self, dx: np.ndarray, cat: np.ndarray | None, real: np.ndarray) -> dict[str, np.ndarray]:
         if self.emb is None or not self.emb.trainable:
             return {}  # frozen tables (OHE included) take no update, so skip the scatter
         offset = N_NUMERIC if self.use_numeric else 0
-        if lengths is not None:   # scatter the real cells only
-            real = real_cells(lengths, cat.shape[1])
-            cat, dx = cat[real], dx[real]
-        return {f"emb/{name}": g for name, g in self.emb.backward(cat, dx[..., offset:]).items()}
+        return {f"emb/{name}": g for name, g in self.emb.backward(cat[real], dx[real][:, offset:]).items()}
 
     def _head_out(self, rep: np.ndarray):
         z = rep @ self.params["head/W"].T + self.params["head/b"]
@@ -146,20 +145,20 @@ class BaseModel:
         grads = {"head/W": dz.T @ rep, "head/b": dz.sum(axis=0)}
         return dz @ self.params["head/W"], grads
 
-    # subclasses: representation of the window
-    def _core(self, x, lengths=None, buffers=None):  # -> (rep, cache, relu_preacts)
+    # subclasses: representation of the window, given the pass shape (lengths, real) of _assemble
+    def _core(self, x, lengths, real, buffers=None):  # -> (rep, cache, relu_preacts)
         raise NotImplementedError
 
     def _core_backward(self, drep, cache, input_grad=True):  # -> (dx, grads); dx may be None if not input_grad
         raise NotImplementedError
 
     def predict(self, num, cat, *, lengths=None, buffers=None) -> np.ndarray:
-        rep, _, _ = self._core(self._assemble(num, cat, lengths), lengths, buffers)
+        rep, _, _ = self._core(*self._assemble(num, cat, lengths), buffers)
         return self._head_out(rep)[1]
 
     def loss_forward(self, num, cat, labels, *, lengths=None) -> tuple[float, list[np.ndarray]]:
         """Loss plus every ReLU pre-activation (for kink detection)."""
-        rep, _, preacts = self._core(self._assemble(num, cat, lengths), lengths)
+        rep, _, preacts = self._core(*self._assemble(num, cat, lengths))
         z, preds = self._head_out(rep)
         loss, _ = task_loss(preds, labels, self.task)
         if self.task == Task.LOS:
@@ -167,8 +166,8 @@ class BaseModel:
         return loss, preacts
 
     def loss_and_grads(self, num, cat, labels, dropout: float = 0.0, dropout_rng=None, *, lengths=None, buffers=None):
-        x = self._assemble(num, cat, lengths)
-        rep, cache, _ = self._core(x, lengths, buffers)
+        x, lengths, real = self._assemble(num, cat, lengths)
+        rep, cache, _ = self._core(x, lengths, real, buffers)
         mask = None
         if dropout > 0.0 and dropout_rng is not None:
             mask = (dropout_rng.random(rep.shape) >= dropout).astype(rep.dtype) / (1.0 - dropout)
@@ -181,7 +180,7 @@ class BaseModel:
         # only a trainable embedding reads the input gradient
         dx, core_grads = self._core_backward(drep, cache, input_grad=self.emb is not None and self.emb.trainable)
         grads.update(core_grads)
-        grads.update(self._emb_grads(dx, cat, lengths))
+        grads.update(self._emb_grads(dx, cat, real))
         return loss, grads
 
 
@@ -195,8 +194,8 @@ class LinearModel(BaseModel):
         self.params["head/W"] = glorot(rng, OUT_DIM[task], self.input_width)
         self.params["head/b"] = np.zeros(OUT_DIM[task])
 
-    def _core(self, x, lengths=None, buffers=None):
-        counts = _row_lengths(x, lengths).astype(x.dtype)[:, None]
+    def _core(self, x, lengths, real, buffers=None):
+        counts = lengths.astype(x.dtype)[:, None]
         return x.sum(axis=1) / counts, {"counts": counts, "shape": x.shape}, []
 
     def _core_backward(self, drep, cache, input_grad=True):
@@ -216,8 +215,8 @@ class AnnModel(BaseModel):
         self.params["head/W"] = glorot(rng, OUT_DIM[task], hidden)
         self.params["head/b"] = np.zeros(OUT_DIM[task])
 
-    def _core(self, x, lengths=None, buffers=None):
-        counts = _row_lengths(x, lengths).astype(x.dtype)[:, None]
+    def _core(self, x, lengths, real, buffers=None):
+        counts = lengths.astype(x.dtype)[:, None]
         pooled = x.sum(axis=1) / counts
         z1 = pooled @ self.params["hidden/W"].T + self.params["hidden/b"]
         return relu(z1), {"pooled": pooled, "z1": z1, "counts": counts, "shape": x.shape}, [z1]
@@ -249,12 +248,10 @@ class BilstmModel(BaseModel):
         self.params["head/W"] = glorot(rng, OUT_DIM[task], 2 * hidden)
         self.params["head/b"] = np.zeros(OUT_DIM[task])
 
-    def _core(self, x, lengths=None, buffers=None):
+    def _core(self, x, lengths, real, buffers=None):
         B, T = x.shape[:2]
         if T < 1:
             raise ValueError("sequence must be nonempty")
-        lengths = _row_lengths(x, lengths)
-        real = real_cells(lengths, T)
         active = real.sum(axis=0)   # rows whose window has begun: a prefix, rows being longest first
         # flat [B*T] cell order with each row reversed within its own length; a padding cell maps to itself
         steps = np.arange(T)

@@ -20,11 +20,12 @@ a run above the caller's ceiling is cut into chunks of ceiling // T rows
 ``PASS_CELLS``, so its memory does not grow with the test fold; training's
 is ``TRAIN_PASS_CELLS``, so a batch's does not grow with ``batch_size``.
 Inside a pass the rows are end-aligned: row r is the last ``lengths[r]`` of
-T steps, and the models (see ``models.py`` and ``lstm.py``) treat the steps
-before as padding that adds nothing to a row's output or gradient.  The
-passes' losses and gradients are weighted by rows / batch rows and summed
-into one Adam step, which is the whole batch's up to summation order; a
-chunk boundary can move a float32 score by an ulp.
+T steps.  The steps before are padding, whose content ``window_pass`` leaves
+unspecified: the models (see ``models.py`` and ``lstm.py``) zero it, so it
+adds nothing to a row's output or gradient.  The passes' losses and
+gradients are weighted by rows / batch rows and summed into one Adam step,
+which is the whole batch's up to summation order; a chunk boundary can
+move a float32 score by an ulp.
 
 Why the ceilings: a BiLSTM training pass peaks at about 5.5 KB per cell in
 float32 (``tracemalloc``, input width 62, hidden 64), about 11 MB at 2,048
@@ -45,7 +46,7 @@ import numpy as np
 
 from .adam import Adam
 from .lstm import PassBuffers
-from .models import BaseModel, real_cells
+from .models import BaseModel
 
 #: Most cells (rows x longest length) that equal-length runs merge up to, and the prediction ceiling.
 PASS_CELLS = 2048
@@ -82,20 +83,13 @@ class InstanceSet:
 
     def window_pass(self, rows: np.ndarray):
         """(num, cat, labels, lengths) of ``rows``, longest first, as one
-        end-aligned [len(rows), T, ·] pass; padding cells are 0."""
+        end-aligned [len(rows), T, ·] pass.  The content of a padding cell is
+        unspecified (some row of num and cat); the model zeroes it."""
         lengths = self.lengths[rows]
         T = int(lengths.max())
-        real = real_cells(lengths, T)
-        src = np.where(real, (self.starts[rows] - (T - lengths))[:, None] + np.arange(T), 0)
-
-        def gather(flat):
-            if flat is None:
-                return None
-            window = flat[src]
-            window[~real] = 0
-            return window
-
-        return gather(self.num), gather(self.cat), self.labels[rows], lengths
+        src = np.maximum((self.starts[rows] - (T - lengths))[:, None] + np.arange(T), 0)
+        return (None if self.num is None else self.num[src], None if self.cat is None else self.cat[src],
+                self.labels[rows], lengths)
 
 
 def make_epoch_batches(lengths: np.ndarray, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:

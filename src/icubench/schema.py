@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional
@@ -124,21 +125,21 @@ class DischargeStatus(str, Enum):
 def normal_values(overrides: Mapping[str, object] | None = None) -> np.ndarray:
     """The 13 imputation targets in NUMERICAL_VARIABLES order, float64.
 
-    ``overrides`` replaces individual defaults.  A key that is not a
-    numerical variable, or a value that is a boolean, that float() rejects
-    or that is not finite, is a ConfigError, so typos in config files fail
+    ``overrides`` replaces individual defaults.  A value is text read by the
+    rule of parse_float, or a JSON number read by json_number, inside its
+    VALID_RANGES entry, so imputation never fills in a value that ingestion
+    would read as unobserved.  Any other value, and a key that is not a
+    numerical variable, is a ConfigError, so typos in config files fail
     loudly.
     """
     normals = dict(DEFAULT_NORMAL_VALUES)
     for name, value in (overrides or {}).items():
         if name not in normals:
             raise ConfigError(f"normal value given for unknown variable {name!r}")
-        try:
-            normals[name] = math.nan if isinstance(value, bool) else float(value)
-        except (TypeError, ValueError):
-            normals[name] = math.nan
-        if not math.isfinite(normals[name]):
-            raise ConfigError(f"normal value of {name!r} must be a finite number, got {value!r}")
+        normals[name] = parse_value(value) if isinstance(value, str) else json_number(value)
+        low, high = VALID_RANGES[name]
+        if not low <= normals[name] <= high:   # NaN, from any value that is not a finite number, fails too
+            raise ConfigError(f"normal value of {name!r} must be a number in [{low:g}, {high:g}], got {value!r}")
     return np.array([normals[name] for name in NUMERICAL_VARIABLES])
 
 
@@ -192,6 +193,13 @@ def parse_float(text: str, name: str = "value") -> float:
     if math.isnan(value := parse_value(text)):
         raise ValueError(f"{name} {text!r} is not a finite ASCII number")
     return value
+
+
+def json_number(value) -> float:
+    """A JSON value's number, or NaN: an int or a float, not a bool, that is finite as a float (JSON reads
+    1e400 as inf, and an int is compared exactly, so one too large for a float is NaN, not rounded)."""
+    finite = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    return float(value) if finite else math.nan
 
 
 def grid_hours(unit_discharge_offset_minutes: int, max_hours: int = DEFAULT_MAX_GRID_HOURS) -> int:

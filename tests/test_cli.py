@@ -130,6 +130,22 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"cannot read phenotype map {tiny_dump / 'phenotype_map.csv'}" in err and "can't decode" in err
 
+    def test_only_phenotyping_reads_the_phenotype_map(self, tiny_dump, tmp_path, capsys):
+        # every task used to read the map, so an undecodable one failed a mortality run too
+        with open(tiny_dump / "phenotype_map.csv", "ab") as fh:
+            fh.write(b"038.9\xff,2\n")
+        assert main(["run", "--task", "mortality24", "--model", "lr", "--data-dir", str(tiny_dump),
+                     "--folds", "2", "--epochs", "1", "--out", str(tmp_path / "o")]) == 0
+        assert "phenotype" not in capsys.readouterr().err
+
+    def test_cohort_and_run_name_a_missing_table_alike(self, tiny_dump, tmp_path, capsys):
+        (tiny_dump / "lab.csv").unlink()
+        assert main(["cohort", "--data-dir", str(tiny_dump)]) == 3
+        assert f"data error: missing input table {tiny_dump / 'lab.csv'}" in capsys.readouterr().err
+        assert main(["run", "--task", "los", "--model", "lr", "--data-dir", str(tiny_dump),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert f"data error: missing input table {tiny_dump / 'lab.csv'}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["038.9,２", "785.5,1_0"])
     def test_category_index_breaking_the_number_rule_is_data_error(self, tiny_dump, tmp_path, capsys, line):
         # int() read these as categories 2 and 10
@@ -140,9 +156,12 @@ class TestBadInput:
 
     @pytest.mark.parametrize("content", [
         None, "{not json", '{"Heart rate": "abc"}', '{"Heart rate": null}', '{"Heart rat": 80}',
-        '{"Heart rate": true}',
-    ], ids=["missing", "not-json", "text-value", "null-value", "unknown-key", "bool-value"])
+        '{"Heart rate": true}', '{"Heart rate": 1%s}' % ("0" * 400), '{"Heart rate": "1_0"}',
+        '{"Heart rate": "８０"}', '{"Heart rate": -5}',
+    ], ids=["missing", "not-json", "text-value", "null-value", "unknown-key", "bool-value", "huge-int",
+            "separator", "full-width", "out-of-range"])
     def test_bad_normal_values_file_is_config_error(self, tmp_path, capsys, content):
+        # a 401-digit int used to exit 4 (float() overflows); "1_0", "８０" and -5 were taken as 10, 80 and -5
         normals = tmp_path / "normals.json"
         if content is not None:
             normals.write_text(content, encoding="utf-8")

@@ -255,7 +255,7 @@ class TestNormalizationLeak:
                                folds=3, epochs=1, seed=5, zscore=True)
         dataset = load_dataset(small_dump)
         base, _ = base_cohort(dataset)
-        stays = _stacked_windows(cfg, dataset, base.included, normal_values(), None)[0]
+        stays = _stacked_windows(cfg, dataset, base.included, normal_values())[0]
         fold_of = make_folds(sorted({dataset.metas[s].patient_id for s in stays.tolist()}), 3, 5)
         fold_of_stay = np.array([fold_of[dataset.metas[s].patient_id] for s in stays.tolist()])
         stay = int(stays[0])

@@ -386,6 +386,22 @@ class TestReport:
         assert report.render() == IngestionReport(report.rows_read, report.rows_kept, messages=every,
                                                   rows_malformed=report.rows_malformed).render()
 
+    def test_ragged_rows_past_the_cap_format_no_message(self, tmp_path):
+        # every ragged row used to format its message, though the report keeps only MAX_MESSAGES
+        formatted = []
+
+        class Table(str):   # the table name, counting the messages that format it
+            def __format__(self, spec):
+                formatted.append(spec)
+                return super().__format__(spec)
+
+        report = IngestionReport()
+        lab = write(tmp_path / "lab.csv", ["patientunitstayid,labresultoffset,labname,labresult",
+                                           *(["7,95,pH"] * 10_000)])
+        assert list(_table_rows(lab, Table("lab"), report)) == []
+        assert report.rows_malformed == {"lab": 10_000} and report.messages_cut == 10_000 - MAX_MESSAGES
+        assert 0 < len(formatted) <= MAX_MESSAGES
+
     def test_render_says_how_many_messages_were_cut(self):
         report = IngestionReport(messages=[f"message {i}" for i in range(205)])
         lines = report.render().splitlines()

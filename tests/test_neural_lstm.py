@@ -3,7 +3,7 @@ import pytest
 
 from _reference import ref_bilstm_summary, ref_lstm_sequence
 from icubench.neural.lstm import init_direction, lstm_backward, lstm_forward
-from icubench.neural.models import BilstmModel
+from icubench.neural.models import BilstmModel, real_cells
 from icubench.schema import N_NUMERIC, Task
 
 D = N_NUMERIC   # a numeric-only model's input width
@@ -29,8 +29,14 @@ def direction(model, tag):
     return {name: model.params[f"{tag}/{name}"] for name in ("Wx", "Wh", "b")}
 
 
+def full_pass(x):
+    """x with the pass shape (lengths, real cells) of rows that fill all T steps."""
+    lengths = np.full(len(x), x.shape[1])
+    return x, lengths, real_cells(lengths, x.shape[1])
+
+
 def summary(model, x):
-    return model._core(x)[0]
+    return model._core(*full_pass(x))[0]
 
 
 class TestForward:
@@ -139,7 +145,7 @@ class TestBackwardNumerically:
         def scalar_loss():
             return float((summary(model, x) @ w).sum())
 
-        _, caches, _ = model._core(x)
+        _, caches, _ = model._core(*full_pass(x))
         dx, grads = model._core_backward(np.tile(w, (B, 1)), caches)
 
         eps = 1e-6

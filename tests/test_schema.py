@@ -55,9 +55,9 @@ class TestCanonicalSchema:
         assert normals.dtype == np.float64 and np.isfinite(normals).all()
 
     def test_normal_value_override(self):
-        # "7.35" is what float() accepts; 0 is a finite value like any other
-        normals = dict(zip(NUMERICAL_VARIABLES, normal_values({"Heart rate": 80.0, "pH": "7.35", "FiO2": 0})))
-        assert normals["Heart rate"] == 80.0 and normals["pH"] == 7.35 and normals["FiO2"] == 0.0
+        # "7.35" reads by the number rule; 0 is a value like any other inside its range
+        normals = dict(zip(NUMERICAL_VARIABLES, normal_values({"Heart rate": 80.0, "pH": "7.35", "O2": 0})))
+        assert normals["Heart rate"] == 80.0 and normals["pH"] == 7.35 and normals["O2"] == 0.0
         assert normal_values({"Heart rate": "80"})[0] == normal_values({"Heart rate": 80})[0] == 80.0
         assert normals["Glucose"] == DEFAULT_NORMAL_VALUES["Glucose"]
 
@@ -67,10 +67,22 @@ class TestCanonicalSchema:
         with pytest.raises(ConfigError):
             normal_values({"Gender": 1.0})   # categorical: no normal value
 
-    @pytest.mark.parametrize("value", ["abc", None, [80], "nan", float("inf"), "-inf", True, False])
+    @pytest.mark.parametrize("value", ["abc", None, [80], "nan", float("inf"), "-inf", True, False,
+                                       "1_0", "８０", 10**400])
     def test_override_that_is_not_a_finite_number_rejected(self, value):
+        # float() read "1_0" as 10 and "８０" as 80, and raised OverflowError on 10**400
         with pytest.raises(ConfigError, match="Heart rate"):
             normal_values({"Heart rate": value})
+
+    @pytest.mark.parametrize("name, value", [("Heart rate", -5), ("Heart rate", "390.5"), ("FiO2", 0),
+                                             ("pH", 10.01)])
+    def test_override_outside_its_valid_range_rejected(self, name, value):
+        # ingestion reads an observed value outside VALID_RANGES as NaN, which imputation would fill with it
+        with pytest.raises(ConfigError, match=name):
+            normal_values({name: value})
+        low, high = VALID_RANGES[name]
+        assert np.array_equal(normal_values({name: low}), normal_values({name: str(low)}))
+        assert normal_values({name: high})[NUMERICAL_VARIABLES.index(name)] == high
 
     def test_schema_file_roundtrip(self, tmp_path):
         overrides = tmp_path / "normals.json"
