@@ -37,8 +37,16 @@ EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        if [] in vars(parsed).values():   # argparse reads "--flag=--" as [], skipping the flag's type and choices
+            self.error("a flag's value may not be '--'")
+        return parsed
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="icubench", description=__doc__)
+    parser = _Parser(prog="icubench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic data dump")

@@ -222,6 +222,8 @@ class TTestResult:
     p: float
     significant_05: bool
     significant_10: bool
+    mean_a: float
+    mean_b: float
 
     @property
     def flag(self) -> str:
@@ -234,32 +236,31 @@ class TTestResult:
 
 
 def t_test(values_a: Sequence[float], values_b: Sequence[float]) -> TTestResult:
-    """Two-tailed Welch's unpaired t-test.
+    """Two-tailed Welch's unpaired t-test, with the two sample means.
 
     The p-value comes from the regularized incomplete beta function with
-    Welch-Satterthwaite degrees of freedom.
+    Welch-Satterthwaite degrees of freedom.  The samples are scaled by a power
+    of two that puts each finite |value| below 1: no square overflows, and t,
+    df and the means keep their bits unless a scaled value underflows.
     """
     a = np.asarray(values_a, dtype=np.float64)
     b = np.asarray(values_b, dtype=np.float64)
     if len(a) < 2 or len(b) < 2:
         raise UndefinedMetricError("t-test needs >= 2 values per sample")
-    va = a.var(ddof=1) / len(a)
-    vb = b.var(ddof=1) / len(b)
-    diff = a.mean() - b.mean()
-    if va + vb == 0.0:
-        return _degenerate_t(float(diff))
-    t_stat = diff / math.sqrt(va + vb)
-    df = (va + vb) ** 2 / (va**2 / (len(a) - 1) + vb**2 / (len(b) - 1))
-    p = float(_betainc(df / 2.0, 0.5, df / (df + t_stat**2)))
-    return TTestResult(t=float(t_stat), p=p, significant_05=p < 0.05, significant_10=p < 0.1)
-
-
-def _degenerate_t(mean_diff: float) -> TTestResult:
-    # zero variance: identical means are certain, distinct ones maximally separated
-    if mean_diff == 0.0:
-        return TTestResult(t=0.0, p=1.0, significant_05=False, significant_10=False)
-    t_stat = math.inf if mean_diff > 0 else -math.inf
-    return TTestResult(t=t_stat, p=0.0, significant_05=True, significant_10=True)
+    e = int(np.frexp(np.max(np.abs(np.concatenate([a, b])), initial=0.0))[1])
+    a, b = np.ldexp(a, -e), np.ldexp(b, -e)
+    va = float(a.var(ddof=1)) / len(a)
+    vb = float(b.var(ddof=1)) / len(b)
+    diff = float(a.mean() - b.mean())
+    if va + vb == 0.0:   # zero variance: identical means are certain, distinct ones maximally separated
+        t_stat, p = (0.0, 1.0) if diff == 0.0 else (math.copysign(math.inf, diff), 0.0)
+    else:
+        t_stat = diff / math.sqrt(va + vb)
+        wa, wb = va / (va + vb), vb / (va + vb)   # so df is not 0/0 where va**2 and vb**2 underflow
+        df = 1.0 / (wa * wa / (len(a) - 1) + wb * wb / (len(b) - 1))
+        p = _betainc(df / 2.0, 0.5, df / (df + t_stat * t_stat))
+    return TTestResult(t=t_stat, p=p, significant_05=p < 0.05, significant_10=p < 0.1,
+                       mean_a=float(np.ldexp(a.mean(), e)), mean_b=float(np.ldexp(b.mean(), e)))
 
 
 @dataclass

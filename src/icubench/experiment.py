@@ -22,6 +22,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from string import whitespace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -146,20 +147,20 @@ _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": Fals
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat key=value lines; blank lines and # comments are skipped."""
+    """Flat key=value lines; blank lines and # comments are skipped; only ASCII whitespace is stripped."""
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
+        line = line.strip(whitespace)
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        values[key.strip(whitespace)] = value.strip(whitespace)
     return values
 
 
@@ -527,14 +528,8 @@ class ComparisonRow:
     flag: str
 
 
-def _report_dict(report) -> dict:
-    return report.to_dict() if isinstance(report, EvalReport) else report
-
-
-def compare(report_a, report_b) -> list[ComparisonRow]:
-    """Welch t-test per metric across fold values of two same-task reports."""
-    a = _report_dict(report_a)
-    b = _report_dict(report_b)
+def compare(a: dict, b: dict) -> list[ComparisonRow]:
+    """Welch t-test per metric across fold values of two same-task report dicts (as report.json holds)."""
     if a["task"] != b["task"]:
         raise ConfigError(f"cannot compare different tasks: {a['task']!r} vs {b['task']!r}")
     if len(a["folds"]) != len(b["folds"]) or a["seed"] != b["seed"]:
@@ -549,8 +544,8 @@ def compare(report_a, report_b) -> list[ComparisonRow]:
         result = evaluation.t_test(va, vb)
         rows.append(ComparisonRow(
             metric=key,
-            mean_a=float(np.mean(va)),
-            mean_b=float(np.mean(vb)),
+            mean_a=result.mean_a,
+            mean_b=result.mean_b,
             t=result.t,
             p=result.p,
             flag=result.flag,

@@ -15,9 +15,9 @@ A missing table other than diagnosis.csv is a DataError ("missing input
 table <path>"), raised where _table_rows opens it; an empty file or a
 missing column is a SchemaError.  _table_rows streams every table row by
 row; stay_table turns each lab and nurseCharting row in one pass into one
-columnar StayTable, 29 bytes a row.  It parses each
-distinct label, id or offset, and (variable, value) text once, in caches
-emptied at CACHE_ENTRIES entries each, about 15 MB in all.  A numerical value
+columnar StayTable, 29 bytes a row.  It parses each distinct id or offset
+text and (variable, value) text once, in two caches emptied at CACHE_ENTRIES
+entries each, about 11.5 MB in all.  A numerical value
 outside its schema.VALID_RANGES entry is kept as NaN (unobserved), like an
 unparseable one, and counted per table as out of range.  An age is read
 like any other value (schema.parse_age): a non-finite age is NaN, so it
@@ -141,7 +141,7 @@ _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 #: Messages IngestionReport keeps and renders; the rest are only counted.
 MAX_MESSAGES = 200
-#: Entries of each stay_table text cache, at about 100 B (label), 113 B (id, offset) or 239 B (value) each.
+#: Entries of each of stay_table's two text caches, at about 112 B (id, offset) or 238 B (value) each.
 CACHE_ENTRIES = 1 << 15
 
 
@@ -397,12 +397,12 @@ def stay_table(metas: Iterable[StayMeta], tables: Mapping[str, Iterable[tuple[st
         bad = not _LOW[j] <= x <= _HIGH[j] and x == x   # NaN does not parse, so it is not out of range
         return (math.nan if bad else x), -1, bad
 
-    labels, cells = _TextCache(lambda label: _LABEL_INDEX.get(label.strip(), -1)), _TextCache(parse_cell)
+    cells = _TextCache(parse_cell)
     ints = _TextCache(lambda cell: _integer(str(cell), "cell"))   # id and offset cells; ints pass too
     for table, rows in tables.items():
         kept = unmapped = malformed = out_of_range = 0
         for stay_text, offset_text, label, text in rows:
-            j = labels[label]
+            j = _LABEL_INDEX.get(label.strip(), -1)
             if j < 0:
                 unmapped += 1
                 continue
@@ -422,7 +422,7 @@ def stay_table(metas: Iterable[StayMeta], tables: Mapping[str, Iterable[tuple[st
         _add(report.rows_unmapped_variable, table, unmapped)
         _add(report.rows_malformed, table, malformed)
         _add(report.rows_out_of_range, table, out_of_range)
-    del labels, ints, cells   # freed before the sort below, where load_dataset peaks
+    del ints, cells   # freed before the sort below, where load_dataset peaks
 
     stay_ids, stay_offsets, *rest = (np.frombuffer(column, dtype=column.typecode) for column in columns)
     counted, counts = np.unique(stay_ids[n_demographic:], return_counts=True)

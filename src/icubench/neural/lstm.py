@@ -39,11 +39,11 @@ and builds h_{t-1} in one batch-major ``[B, T, H]`` buffer, so the weight
 and input gradients are single ``[B*T, ·]`` GEMMs whose rows run
 batch-major.
 
-Buffers.  With a ``PassBuffers`` a pass reuses the last pass's arrays, not
-faulting in fresh ones: each direction's ``gates``, ``hs``, ``c_prev`` (h_{t-1}
-once the backward loop is done with it) and ``tanh_c``, and one ``[B*T, 4H]``
-array for both, the input GEMM's output and then ``dz_all``.  ``hs`` is zeroed
-each pass, the rest is written before it is read, and results last one pass.
+Buffers.  With training's ``PassBuffers`` a pass reuses the last pass's arrays:
+each direction's ``gates``, ``hs``, ``c_prev`` (h_{t-1} once the backward loop is
+done with it) and ``tanh_c``, and one ``[B*T, 4H]`` array for both, the input
+GEMM's output (else freed before the step loop) and then ``dz_all``.  ``hs`` is
+zeroed each pass, the rest is written before it is read; results last one pass.
 
 Every buffer is allocated in the dtype of ``Wh``, and ``x`` and ``dh_last``
 are cast to it, so the kernel runs in the parameters' precision: models

@@ -127,21 +127,12 @@ class BaseModel:
 
     def _head_out(self, rep: np.ndarray):
         z = rep @ self.params["head/W"].T + self.params["head/b"]
-        if self.task == Task.LOS:
-            preds = relu(z[:, 0])
-        elif self.task == Task.PHENOTYPING:
-            preds = sigmoid(z)
-        else:
-            preds = sigmoid(z[:, 0])
-        return z, preds
+        preds = relu(z) if self.task == Task.LOS else sigmoid(z)
+        return z, preds[:, 0] if preds.shape[1] == 1 else preds
 
     def _head_backward(self, z, preds, dpreds, rep):
-        if self.task == Task.LOS:
-            dz = (dpreds * (z[:, 0] > 0.0))[:, None]
-        elif self.task == Task.PHENOTYPING:
-            dz = dpreds * preds * (1.0 - preds)
-        else:
-            dz = (dpreds * preds * (1.0 - preds))[:, None]
+        preds, dpreds = preds.reshape(z.shape), dpreds.reshape(z.shape)
+        dz = dpreds * (z > 0.0) if self.task == Task.LOS else dpreds * preds * (1.0 - preds)
         grads = {"head/W": dz.T @ rep, "head/b": dz.sum(axis=0)}
         return dz @ self.params["head/W"], grads
 
@@ -152,8 +143,8 @@ class BaseModel:
     def _core_backward(self, drep, cache, input_grad=True):  # -> (dx, grads); dx may be None if not input_grad
         raise NotImplementedError
 
-    def predict(self, num, cat, *, lengths=None, buffers=None) -> np.ndarray:
-        rep, _, _ = self._core(*self._assemble(num, cat, lengths), buffers)
+    def predict(self, num, cat, *, lengths=None) -> np.ndarray:
+        rep, _, _ = self._core(*self._assemble(num, cat, lengths))
         return self._head_out(rep)[1]
 
     def loss_forward(self, num, cat, labels, *, lengths=None) -> tuple[float, list[np.ndarray]]:

@@ -34,8 +34,8 @@ seed-1 phenotyping benchmark dump peaks at 65.9 MB, and 72.8 MB with 3,072
 cells.  ``TRAIN_PASS_CELLS`` is 128 x 48, the largest one-length batch of a
 default config (mortality48), so every default batch stays one pass; that
 pass peaks at 34.4 MB allocating its arrays, as ``TestPassMemory`` measures.
-A ``lstm.PassBuffers`` of 4.6 KB a cell, held by ``train_model`` and
-``predict_scores`` until they return, makes a 3,072-cell pass peak 1% higher.
+A ``lstm.PassBuffers`` of 4.6 KB a cell, held by ``train_model`` until it
+returns, makes a 3,072-cell pass peak 1% higher; prediction holds none.
 """
 
 from __future__ import annotations
@@ -65,18 +65,6 @@ class InstanceSet:
     num: np.ndarray | None         # [rows, 13]
     cat: np.ndarray | None         # [rows, 7] int
     labels: np.ndarray             # [n] or [n, 25]
-
-    @classmethod
-    def uniform(cls, num: np.ndarray | None, cat: np.ndarray | None, labels: np.ndarray) -> "InstanceSet":
-        """Instances of one length T from [n, T, ·] arrays."""
-        n, T = (num if num is not None else cat).shape[:2]
-        return cls(
-            np.arange(n) * T,
-            np.full(n, T),
-            None if num is None else num.reshape(n * T, -1),
-            None if cat is None else cat.reshape(n * T, -1),
-            labels,
-        )
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -175,10 +163,7 @@ def predict_scores(model: BaseModel, data: InstanceSet) -> np.ndarray:
     PASS_CELLS cells."""
     if len(data) == 0:
         return np.zeros((0,))
-    out, buffers = None, PassBuffers(PASS_CELLS)
+    out = np.full((len(data), len(model.params["head/b"])), np.nan)
     for rows, (num, cat, _, lengths) in _passes(data, np.arange(len(data)), PASS_CELLS):
-        preds = model.predict(num, cat, lengths=lengths, buffers=buffers)
-        if out is None:
-            out = np.full((len(data), 1 if preds.ndim == 1 else preds.shape[1]), np.nan)
-        out[rows] = preds.reshape(len(preds), -1)
+        out[rows] = model.predict(num, cat, lengths=lengths).reshape(len(rows), -1)
     return out[:, 0] if out.shape[1] == 1 else out

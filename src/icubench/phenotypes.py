@@ -8,6 +8,7 @@ file with one ``code,category_index`` line per ICD-9 code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from string import whitespace
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -72,9 +73,9 @@ class PhenotypeCatalog:
     @classmethod
     def from_file(cls, path) -> "PhenotypeCatalog":
         """Load ``code,category_index`` lines; a header line is tolerated.
-        The index is read by the number rule (schema.parse_int), so ``２``
-        or ``1_0`` is a bad index, and a first line whose index does not
-        read is the header.
+        Only ASCII whitespace is stripped, and the index is read by the number
+        rule (schema.parse_int), so ``２``, ``1_0`` or ``7\u00a0`` is a bad
+        index, and a first line whose index does not read is the header.
 
         A code appearing under two different categories is a data error
         (the assignment must be a function).
@@ -86,10 +87,10 @@ class PhenotypeCatalog:
         except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read phenotype map {path}: {exc}") from exc
         for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
+            line = line.strip(whitespace)
             if not line or line.startswith("#"):
                 continue
-            parts = [p.strip() for p in line.split(",")]
+            parts = [p.strip(whitespace) for p in line.split(",")]
             if len(parts) != 2:
                 raise DataError(f"{path}:{lineno}: expected 'code,category_index'")
             code, idx_text = parts

@@ -146,9 +146,10 @@ class TestBadInput:
                      "--out", str(tmp_path / "o")]) == 3
         assert f"data error: missing input table {tiny_dump / 'lab.csv'}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["038.9,２", "785.5,1_0"])
+    @pytest.mark.parametrize("line", ["038.9,２", "785.5,1_0", "038.9,\u30005", "785.5,7\u00a0"])
     def test_category_index_breaking_the_number_rule_is_data_error(self, tiny_dump, tmp_path, capsys, line):
-        # int() read these as categories 2 and 10
+        # int() read these as categories 2 and 10; str.strip() took the ideographic and no-break spaces
+        # from the last two, so they read as 5 and 7
         (tiny_dump / "phenotype_map.csv").write_text(f"icd9code,category_index\n{line}\n", encoding="utf-8")
         assert main(["run", "--task", "phenotyping", "--model", "lr", "--data-dir", str(tiny_dump),
                      "--folds", "2", "--epochs", "1", "--out", str(tmp_path / "o")]) == 3

@@ -245,6 +245,16 @@ class TestTTest:
             result = t_test([math.inf, 1.0], [1.0, 2.0])
         assert math.isnan(result.p) and not result.significant_10
 
+    @pytest.mark.parametrize("a, b, t", [
+        ([1e200, 1.0], [1e300, 1e300], -2e100),   # squares overflowed: p was nan, and compare exited 4 under
+        ([1.0, 1.0], [1e-100, 2e-100], 2e100),    # -W error::RuntimeWarning; here vb**2 underflowed, df 0/0
+    ])
+    def test_values_whose_squares_leave_float64_give_t_and_p(self, a, b, t):
+        # one variance is 0, so df is 1: p = (2 / pi) atan(1 / |t|), t = 2e100
+        result = t_test(a, b)
+        assert result.t == pytest.approx(t, rel=1e-12)
+        assert result.p == pytest.approx(1.0 / (math.pi * 1e100), rel=1e-9) and result.significant_05
+
     def test_small_samples_rejected(self):
         with pytest.raises(UndefinedMetricError):
             t_test([1.0], [2.0, 3.0])

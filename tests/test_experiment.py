@@ -278,7 +278,7 @@ class TestCompare:
         cfg = ExperimentConfig(task="los", model="lr", data_dir=str(small_dump),
                                out_dir=str(tmp_path / "o"), folds=3, epochs=2, seed=5, zscore=True)
         report = run_experiment(cfg)
-        rows = compare(report, report)
+        rows = compare(report.to_dict(), report.to_dict())
         assert rows
         for row in rows:
             assert row.p == 1.0 and row.flag == "-"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from _instances import uniform_set
 from icubench.errors import SchemaError, TrainingError
 from icubench.neural import (
     Adam,
@@ -17,7 +18,6 @@ from icubench.neural import (
 )
 from icubench.neural import lstm
 from icubench.neural.checkpoint import load_checkpoint, save_checkpoint, schema_hash
-from icubench.neural.training import InstanceSet
 from icubench.schema import CATEGORICAL_VARIABLES, Task, normal_values
 
 VOCABS = {"A": 4, "B": 3, "C": 5, "D": 4, "E": 3, "F": 3, "G": 6}
@@ -200,7 +200,7 @@ class TestEncodingEquivalence:
                             embed_init=init, embed_frozen=True, hidden=6)
             )
         a, b = models
-        data = InstanceSet.uniform(num, cat, labels)
+        data = uniform_set(num, cat, labels)
         train_model(a, data, epochs=3, batch_size=2, rng=np.random.default_rng(1))
         train_model(b, data, epochs=3, batch_size=2, rng=np.random.default_rng(1))
         assert np.array_equal(a.predict(num, cat), b.predict(num, cat))
@@ -224,7 +224,7 @@ class TestDeterminism:
     def test_same_seed_same_trajectory(self):
         task = Task.DECOMPENSATION
         num, cat, labels = small_batch(np.random.default_rng(2), task, B=8)
-        data = InstanceSet.uniform(num, cat, labels)
+        data = uniform_set(num, cat, labels)
         snapshots = []
         for _ in range(2):
             model = build_model("bilstm", task, np.random.default_rng(3), vocab_sizes=VOCABS, hidden=5)

@@ -25,9 +25,11 @@ from icubench.ingestion import parse_patient_id
 from icubench.phenotypes import N_PHENOTYPES, PhenotypeCatalog
 from icubench.schema import VALID_RANGES, normal_values, parse_age, parse_float, parse_int, parse_value
 
-DIGITS = "0123456789０１２３４５６７８９"
+DIGITS = "0123456789０１２３４５６７８９٣"
+SPACES = " \t\u3000\u00a0"   # int() and float() strip all four; the rule accepts only ASCII whitespace
 TOKENS = ("nan", "inf", "-inf", "Infinity", "1e400", "9" * 401, "true", "false")
-TEXT = st.lists(st.one_of(st.sampled_from(DIGITS + "_+-.eE \t"), st.sampled_from(TOKENS)), max_size=8).map("".join)
+TEXT = st.lists(st.one_of(st.sampled_from(DIGITS + SPACES + "_+-.eE"), st.sampled_from(TOKENS)),
+                max_size=8).map("".join)
 JSON_VALUES = st.one_of(st.booleans(), st.none(), st.integers(-10**420, 10**420), st.integers(-500, 500),
                         st.floats(allow_nan=True, allow_infinity=True), TEXT)
 HEART_RATE = VALID_RANGES["Heart rate"]
@@ -105,6 +107,7 @@ RULE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, data
 @example(text="-5")
 @example(text=" +1e2 ")
 @example(text="9" * 401)
+@example(text="7\u00a0")
 def test_every_text_reader_follows_the_one_rule(tmp_path, text):
     value, whole = number(text), integer(text)
     for read in (parse_value, parse_age):   # no '>' is drawn, so an age reads as any other value
@@ -114,7 +117,7 @@ def test_every_text_reader_follows_the_one_rule(tmp_path, text):
     if whole is not None:
         assert parse_int(text) == whole
     # a patient id reads as an int only for ASCII digits, a subset of the integers; other text is hashed
-    digits = text.strip().isascii() and text.strip().isdigit()
+    digits = text.isascii() and text.strip().isdigit()
     assert (parse_patient_id(text) == whole) == digits
     assert accepts(_coerce, "int", "epochs", text) == (whole is not None)
     assert accepts(_coerce, "float", "learning_rate", text) == (value is not None)
@@ -146,18 +149,21 @@ def test_every_text_reader_follows_the_one_rule(tmp_path, text):
 @example(value=-5)
 @example(value="1_0")
 @example(value=float("nan"))
+@example(value=1e300)
 def test_every_json_reader_follows_the_one_rule(tmp_path, value):
     want = number(value) if isinstance(value, str) else json_number(value)
     accepted = in_heart_rate_range(want)
     assert accepts(normal_values, {"Heart rate": value}) == accepted
     assert run_with_normal_value(tmp_path, value) == (3 if accepted else 2)   # 3: the data dir is missing
 
-    # compare's reader checks every fold metric; the drawn one is not in the aggregate, so it is not tested
-    report = tmp_path / "report.json"
-    folds = [{"metrics": {"mae": 0.5, "drawn": value}}, {"metrics": {"mae": 0.7}}]
-    report.write_text(json.dumps({"task": "los", "seed": 1, "folds": folds, "aggregate": {"mae": {}}}),
-                      encoding="utf-8")
+    # compare's reader checks every fold metric, and compare t-tests the drawn mae against folds of 0.5 and 0.7
+    reports = []
+    for name, mae in (("a", value), ("b", 0.7)):
+        reports.append(tmp_path / f"{name}.json")
+        folds = [{"metrics": {"mae": 0.5}}, {"metrics": {"mae": mae}}]
+        reports[-1].write_text(json.dumps({"task": "los", "seed": 1, "folds": folds, "aggregate": {"mae": {}}}),
+                               encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["compare", str(report), str(report)])
+        code = main(["compare", *map(str, reports)])
     assert code == (0 if value is None or (json_number(value) is not None) else 3)
 

@@ -3,11 +3,11 @@ import csv
 import numpy as np
 import pytest
 
+from _instances import uniform_set
 from icubench.cohort import select_base_cohort
 from icubench.errors import ConfigError
 from icubench.ingestion import load_dataset
 from icubench.neural import build_model, train_model
-from icubench.neural.training import InstanceSet
 from icubench.preprocessing import build_stay_grid
 from icubench.schema import DischargeStatus, Task, grid_hours, normal_values
 from icubench.synth import PHENOTYPE_RATES, SynthConfig, generate, synthetic_catalog
@@ -148,7 +148,7 @@ class TestPlantedSignal:
         labels = np.asarray(labels)
         half = len(labels) // 2
         model = build_model("lr", Task.MORTALITY, np.random.default_rng(0), use_numeric=True)
-        data = InstanceSet.uniform(num[:half], None, labels[:half])
+        data = uniform_set(num[:half], None, labels[:half])
         train_model(model, data, epochs=30, batch_size=128, rng=np.random.default_rng(1))
         scores = model.predict(num[half:], None)
         from icubench.evaluation import auroc
