@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=parse_int)
     p_run.add_argument("--epochs", type=parse_int)
     p_run.add_argument("--config", help="flat key=value config file; flags override it")
-    p_run.add_argument("--out")
+    p_run.add_argument("--out", dest="out_dir", metavar="OUT")
 
     p_compare = sub.add_parser("compare", help="significance table for two report.json files")
     p_compare.add_argument("report_a")
@@ -111,19 +111,8 @@ def _cmd_cohort(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    file_values = parse_config_file(args.config) if args.config else {}
-    cfg = config_from_sources(
-        file_values,
-        task=args.task,
-        model=args.model,
-        encoding=args.encoding,
-        variables=args.variables,
-        data_dir=args.data_dir,
-        folds=args.folds,
-        seed=args.seed,
-        epochs=args.epochs,
-        out_dir=args.out,
-    )
+    flags = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
+    cfg = config_from_sources(parse_config_file(args.config) if args.config else {}, **flags)
     report = run_experiment(cfg)
     paths = write_reports(report, cfg.out_dir)
     print(f"wrote {paths['json']}")

@@ -50,11 +50,6 @@ from .schema import (
     read_normal_values,
 )
 
-TASK_CHOICES = ("mortality24", "mortality48", "los", "phenotyping", "decompensation")
-MODEL_CHOICES = ("lr", "ann", "bilstm")
-ENCODING_CHOICES = ("ohe", "embedding")
-VARIABLE_CHOICES = ("all", "numerical_only", "categorical_only")
-
 _TASK_OF = {
     "mortality24": Task.MORTALITY,
     "mortality48": Task.MORTALITY,
@@ -62,6 +57,11 @@ _TASK_OF = {
     "phenotyping": Task.PHENOTYPING,
     "decompensation": Task.DECOMPENSATION,
 }
+TASK_CHOICES = tuple(_TASK_OF)
+MODEL_CHOICES = ("lr", "ann", "bilstm")
+ENCODING_CHOICES = ("ohe", "embedding")
+VARIABLE_CHOICES = ("all", "numerical_only", "categorical_only")
+EMBED_INIT_CHOICES = ("random", "identity")
 _BINARY_TASKS = (Task.MORTALITY, Task.DECOMPENSATION)
 
 #: Config keys report.json leaves out, so same-seed runs match wherever they read and write.
@@ -98,20 +98,14 @@ class ExperimentConfig:
     save_models: bool = False
 
     def __post_init__(self):
-        if self.task not in TASK_CHOICES:
-            raise ConfigError(f"task must be one of {TASK_CHOICES}, got {self.task!r}")
-        if self.model not in MODEL_CHOICES:
-            raise ConfigError(f"model must be one of {MODEL_CHOICES}, got {self.model!r}")
-        if self.encoding not in ENCODING_CHOICES:
-            raise ConfigError(f"encoding must be one of {ENCODING_CHOICES}, got {self.encoding!r}")
-        if self.variables not in VARIABLE_CHOICES:
-            raise ConfigError(f"variables must be one of {VARIABLE_CHOICES}, got {self.variables!r}")
+        for name, choices in (("task", TASK_CHOICES), ("model", MODEL_CHOICES), ("encoding", ENCODING_CHOICES),
+                              ("variables", VARIABLE_CHOICES), ("embed_init", EMBED_INIT_CHOICES)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.embed_init not in ("random", "identity"):
-            raise ConfigError(f"embed_init must be 'random' or 'identity', got {self.embed_init!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
         for name in ("hidden", "ann_hidden", "epochs", "batch_size", "max_hours", "embed_dim_cap"):
@@ -221,21 +215,19 @@ def _check(condition: bool, message: str) -> None:
 class EvalReport:
     """Per-fold metrics, aggregate, and the audit text that came out of the run."""
 
-    task: str
     config: dict
     fold_results: list[dict]
     aggregate_mean: dict
     aggregate_ci95: dict
     warnings: list[str]
-    seed: int
     fold_scores: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, repr=False)
     audit: tuple[str, str, str] = ("", "", "")   # the texts base_cohort returns
     wall_clock_seconds: float = 0.0
 
     def to_dict(self) -> dict:
         return {
-            "task": self.task,
-            "seed": self.seed,
+            "task": self.config["task"],
+            "seed": self.config["seed"],
             "config": self.config,
             "folds": self.fold_results,
             "aggregate": {
@@ -263,9 +255,9 @@ def report_json(report: EvalReport) -> str:
 
 
 def report_text(report: EvalReport) -> str:
-    lines = [f"task: {report.task}    model: {report.config['model']}    "
+    lines = [f"task: {report.config['task']}    model: {report.config['model']}    "
              f"encoding: {report.config['encoding']}    variables: {report.config['variables']}"]
-    lines.append(f"seed: {report.seed}    folds: {len(report.fold_results)}    "
+    lines.append(f"seed: {report.config['seed']}    folds: {len(report.fold_results)}    "
                  f"wall clock: {report.wall_clock_seconds:.1f} s")
     lines.append("")
     keys = list(report.aggregate_mean)
@@ -285,9 +277,11 @@ def report_text(report: EvalReport) -> str:
 
 
 def _fmt_cell(value) -> str:
-    if value is None or (isinstance(value, float) and not math.isfinite(value)):
+    """A number for a 12-character column: .4f while that fits in 11 characters, .3e beyond; — for None or NaN."""
+    if value is None or math.isnan(value):
         return "—"
-    return f"{value:.4f}"
+    text = f"{value:.4f}"
+    return text if len(text) <= 11 else f"{value:.3e}"
 
 
 def summarize_cohort(metas: Mapping[int, object]) -> str:
@@ -503,33 +497,20 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     folded = evaluation.aggregate_metric_dicts([f["metrics"] for f in fold_results])
     run_warnings.extend(folded.warnings)
 
-    report = EvalReport(
-        task=cfg.task,
+    return EvalReport(
         config={k: v for k, v in cfg.to_dict().items() if k not in _PATH_KEYS},
         fold_results=fold_results,
         aggregate_mean=folded.mean,
         aggregate_ci95=folded.ci95,
         warnings=run_warnings,
-        seed=cfg.seed,
         fold_scores=fold_scores,
         audit=audit,
         wall_clock_seconds=time.perf_counter() - started,
     )
-    return report
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    metric: str
-    mean_a: float | None
-    mean_b: float | None
-    t: float
-    p: float
-    flag: str
-
-
-def compare(a: dict, b: dict) -> list[ComparisonRow]:
-    """Welch t-test per metric across fold values of two same-task report dicts (as report.json holds)."""
+def compare(a: dict, b: dict) -> list[tuple[str, evaluation.TTestResult]]:
+    """(metric, Welch t-test) across fold values of two same-task report dicts (as report.json holds)."""
     if a["task"] != b["task"]:
         raise ConfigError(f"cannot compare different tasks: {a['task']!r} vs {b['task']!r}")
     if len(a["folds"]) != len(b["folds"]) or a["seed"] != b["seed"]:
@@ -541,24 +522,16 @@ def compare(a: dict, b: dict) -> list[ComparisonRow]:
         vb = [f["metrics"].get(key) for f in b["folds"] if f["metrics"].get(key) is not None]
         if len(va) < 2 or len(vb) < 2:
             continue
-        result = evaluation.t_test(va, vb)
-        rows.append(ComparisonRow(
-            metric=key,
-            mean_a=result.mean_a,
-            mean_b=result.mean_b,
-            t=result.t,
-            p=result.p,
-            flag=result.flag,
-        ))
+        rows.append((key, evaluation.t_test(va, vb)))
     return rows
 
 
-def render_comparison(rows: list[ComparisonRow]) -> str:
+def render_comparison(rows: list[tuple[str, evaluation.TTestResult]]) -> str:
     lines = [f"{'metric':<24}{'mean A':<12}{'mean B':<12}{'t':<12}{'p':<12}flag   (\u2020 p<0.05, \u2021 p<0.1)"]
-    for row in rows:
+    for metric, result in rows:
         lines.append(
-            f"{row.metric:<24}{_fmt_cell(row.mean_a):<12}{_fmt_cell(row.mean_b):<12}"
-            f"{row.t:<12.4f}{row.p:<12.4g}{row.flag}"
+            f"{metric:<24}{_fmt_cell(result.mean_a):<12}{_fmt_cell(result.mean_b):<12}"
+            f"{_fmt_cell(result.t):<12}{result.p:<12.4g}{result.flag}"
         )
     return "\n".join(lines) + "\n"
 

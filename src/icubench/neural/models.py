@@ -25,12 +25,13 @@ from typing import Mapping
 
 import numpy as np
 
+from ..phenotypes import N_PHENOTYPES
 from ..schema import N_NUMERIC, Task
 from . import lstm
 from .embedding import EmbeddingTable
 from .functional import glorot, relu, sigmoid, task_loss
 
-OUT_DIM = {Task.MORTALITY: 1, Task.DECOMPENSATION: 1, Task.LOS: 1, Task.PHENOTYPING: 25}
+OUT_DIM = {Task.MORTALITY: 1, Task.DECOMPENSATION: 1, Task.LOS: 1, Task.PHENOTYPING: N_PHENOTYPES}
 
 OHE = "ohe"
 EMBEDDING = "embedding"
@@ -74,16 +75,14 @@ class BaseModel:
         self.use_numeric = use_numeric
         self.emb = emb
         self.params: dict[str, np.ndarray] = {}
-        self.frozen: set[str] = set()
         if emb is not None:
             for name, table in emb.tables.items():
                 self.params[f"emb/{name}"] = table
-                if not emb.trainable:
-                    self.frozen.add(f"emb/{name}")
 
     @property
     def trainable(self) -> list[str]:
-        return [k for k in self.params if k not in self.frozen]
+        frozen = self.emb is not None and not self.emb.trainable
+        return [k for k in self.params if not (frozen and k.startswith("emb/"))]
 
     @property
     def dtype(self) -> np.dtype:

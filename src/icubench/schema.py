@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from string import whitespace
 from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -160,8 +161,9 @@ def read_normal_values(path) -> np.ndarray:
 
 def parse_age(text: str) -> float:
     """An age cell read like any value (parse_value); a masked age, '>' then text that reads as 89,
-    is the 90 sentinel, and any other text after '>' is NaN."""
-    stripped = text.strip()
+    is the 90 sentinel, and any other text after '>' is NaN.  Only ASCII whitespace is stripped
+    before the '>' test, as parse_value accepts no other."""
+    stripped = text.strip(whitespace)
     if stripped.startswith(">"):
         return MASKED_AGE_SENTINEL if parse_value(stripped[1:]) == 89 else math.nan
     return parse_value(text)

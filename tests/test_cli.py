@@ -1,5 +1,11 @@
 import csv
+import dataclasses
+import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icubench import ingestion
-from icubench.cli import main
+from icubench.cli import _build_parser, main
+from icubench.experiment import ExperimentConfig
 from icubench.ingestion import TABLE_FILES, load_dataset
 from icubench.preprocessing import build_vocabs, categorical_index
 from icubench.synth import SynthConfig, generate
@@ -285,6 +292,27 @@ class TestRunCommand:
         assert main(["compare", str(out_a / "report.json"), str(out_b / "report.json")]) == 0
         assert "metric" in capsys.readouterr().out
 
+    def test_same_seed_reports_match_across_string_hash_seeds(self, tmp_path):
+        # criterion 8 runs twice in one process, where every run shares one string hash seed
+        dump = tmp_path / "d"
+        generate(SynthConfig(n_patients=60, seed=4, hours_range=(24, 60), signal_strength=1.5), dump)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outs = []
+        for hash_seed in ("0", "1"):
+            outs.append(tmp_path / f"o{hash_seed}")
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-m", "icubench.cli", "run", "--task", "phenotyping", "--model", "lr",
+                            "--data-dir", str(dump), "--folds", "2", "--epochs", "1", "--out", str(outs[-1])],
+                           env=env, capture_output=True, check=True, timeout=300)
+        for name in ("report.json", "ingestion_report.txt", "cohort_report.txt"):
+            assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+
+    def test_every_run_flag_is_a_config_key(self):
+        # run passes each parsed flag on by its dest, so a flag without a config field would be an error
+        flags = set(vars(_build_parser().parse_args(["run"]))) - {"command", "config"}
+        assert flags <= {f.name for f in dataclasses.fields(ExperimentConfig)} and "out_dir" in flags
+
     def test_config_file_with_flag_override(self, small_dump, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"task=los\nmodel=lr\ndata_dir={small_dump}\nfolds=3\nepochs=1\n", encoding="utf-8")
@@ -321,6 +349,19 @@ class TestRunCommand:
 
 
 class TestCompareCommand:
+    def test_huge_fold_values_keep_the_columns_aligned(self, tmp_path, capsys):
+        # a mean of 5e199 in .4f is a 200-digit number, which would push the row's later cells out of line
+        paths = []
+        for name, values in (("a", [1e200, 1.0]), ("b", [1e300, 1e300])):
+            paths.append(tmp_path / f"{name}.json")
+            folds = [{"metrics": {"mae": value}} for value in values]
+            paths[-1].write_text(json.dumps({"task": "los", "seed": 1, "folds": folds, "aggregate": {"mae": {}}}),
+                                 encoding="utf-8")
+        assert main(["compare", *map(str, paths)]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        for start in (24, 36, 48, 60, 72):   # every cell ends at least one space before the next column
+            assert header[start - 1] == row[start - 1] == " " and row[start] != " "
+
     def test_unreadable_report_is_data_error(self, tmp_path):
         missing = tmp_path / "missing.json"
         assert main(["compare", str(missing), str(missing)]) == 3

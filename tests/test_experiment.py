@@ -280,7 +280,7 @@ class TestCompare:
         report = run_experiment(cfg)
         rows = compare(report.to_dict(), report.to_dict())
         assert rows
-        for row in rows:
+        for _, row in rows:
             assert row.p == 1.0 and row.flag == "-"
         assert "metric" in render_comparison(rows)
 

@@ -101,24 +101,33 @@ RULE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, data
 
 
 @RULE_SETTINGS
-@given(text=TEXT)
+@given(text=st.one_of(TEXT, TEXT.map(">".__add__)))
 @example(text="1_0")
 @example(text="８０")
 @example(text="-5")
 @example(text=" +1e2 ")
 @example(text="9" * 401)
 @example(text="7\u00a0")
+@example(text="5\u00a0")
+@example(text="> 89")
+@example(text="\u3000> 89")
+@example(text="> 89\u00a0")
 def test_every_text_reader_follows_the_one_rule(tmp_path, text):
     value, whole = number(text), integer(text)
-    for read in (parse_value, parse_age):   # no '>' is drawn, so an age reads as any other value
-        assert read(text) == value if value is not None else math.isnan(read(text))
+    age = value   # '>' is drawn only first: an age reads as any other value, or masked, as 90 exactly after 89
+    if text.startswith(">"):
+        age = 90.0 if parse_value(text[1:]) == 89 else None
+    for read, want in ((parse_value, value), (parse_age, age)):
+        assert read(text) == want if want is not None else math.isnan(read(text))
     assert accepts(parse_float, text) == (value is not None)
     assert accepts(parse_int, text) == (whole is not None)
     if whole is not None:
         assert parse_int(text) == whole
-    # a patient id reads as an int only for ASCII digits, a subset of the integers; other text is hashed
-    digits = text.isascii() and text.strip().isdigit()
-    assert (parse_patient_id(text) == whole) == digits
+    # a patient id is a key, not a number: it is stripped of Unicode whitespace (so "5\u00a0" is patient 5),
+    # reads as an int when the rest is ASCII digits, and is hashed otherwise
+    key = text.strip()
+    digits = key.isascii() and key.isdigit()
+    assert parse_patient_id(text) == int(key) if digits else parse_patient_id(text) != whole
     assert accepts(_coerce, "int", "epochs", text) == (whole is not None)
     assert accepts(_coerce, "float", "learning_rate", text) == (value is not None)
 
