@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True)
     for flag, default in (("--seed", 0), ("--hours-min", 24), ("--hours-max", 72), ("--missingness", 0.1),
                           ("--mortality-rate", 0.083), ("--decomp-rate", 0.065), ("--signal", 1.0),
-                          ("--underage-fraction", 0.0), ("--sparse-fraction", 0.0)):
+                          ("--underage-fraction", 0.0), ("--sparse-fraction", 0.0), ("--multi-stay-fraction", 0.0)):
         p_synth.add_argument(flag, type=parse_int if isinstance(default, int) else parse_float, default=default)
 
     p_cohort = sub.add_parser("cohort", help="audit cohort selection on a data dump")
@@ -81,6 +81,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _prepare_out(path, *, is_file: bool = False) -> None:
+    """Make an output directory, or check an output file's directory, before a command does any work.
+
+    A path the output cannot be written to is a config error, so a long run does not fail at its end.
+    """
+    path = Path(path)
+    problem = None
+    if not is_file:
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:   # a file where a directory should be, or no permission
+            problem = str(exc)
+    elif path.is_dir():
+        problem = "it is a directory"
+    elif not path.parent.is_dir():
+        problem = f"{path.parent} is not a directory"
+    if problem:
+        raise ConfigError(f"cannot write output {path}: {problem}")
+
+
 def _cmd_synth(args) -> int:
     cfg = SynthConfig(
         n_patients=args.patients,
@@ -92,7 +112,9 @@ def _cmd_synth(args) -> int:
         seed=args.seed,
         underage_fraction=args.underage_fraction,
         sparse_fraction=args.sparse_fraction,
+        multi_stay_fraction=args.multi_stay_fraction,
     )
+    _prepare_out(args.out)
     paths = generate(cfg, args.out)
     for name, path in paths.items():
         print(f"wrote {name}: {path}")
@@ -100,6 +122,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_cohort(args) -> int:
+    if args.out:
+        _prepare_out(args.out)
     _, audit = base_cohort(load_dataset(args.data_dir))
     if args.out:
         out = Path(args.out)
@@ -113,6 +137,7 @@ def _cmd_cohort(args) -> int:
 def _cmd_run(args) -> int:
     flags = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
     cfg = config_from_sources(parse_config_file(args.config) if args.config else {}, **flags)
+    _prepare_out(cfg.out_dir)
     report = run_experiment(cfg)
     paths = write_reports(report, cfg.out_dir)
     print(f"wrote {paths['json']}")
@@ -145,6 +170,8 @@ def _read_report(path) -> dict:
 
 
 def _cmd_compare(args) -> int:
+    if args.out:
+        _prepare_out(args.out, is_file=True)
     table = render_comparison(compare(_read_report(args.report_a), _read_report(args.report_b)))
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8")

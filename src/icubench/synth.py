@@ -5,6 +5,15 @@ phenotype code map) and is a pure function of its config: per-patient
 substreams are seeded with (seed, patient_index), so runs are byte
 identical and patients can be generated independently.
 
+Each variable's rows are built from whole-array draws over the stay's
+hours, in the order a row-at-a-time loop would draw them (numpy gives the
+same stream for one ``size=n`` call as for n scalar calls).  The lab and
+nurseCharting rows are written as ready CSV text, one write per table,
+without ``csv.writer``: their cells are numbers, variable names and a
+leading ``>``, never a comma, quote or newline, so the writer would not
+quote them.  The patient and diagnosis tables hold quoted cells such as
+``"Sepsis, pulmonary"`` and still go through ``csv.writer``.
+
 Outcome signal, scaled by ``signal_strength`` and applied to patients who
 die, has three parts: a whole-stay level shift on heart rate, respiratory
 rate and blood pressure (sicker from admission), a mean-zero first-day
@@ -132,17 +141,14 @@ class SynthConfig:
             raise ConfigError("signal_strength must be >= 0")
 
 
-def _fmt(name: str, value: float) -> str:
-    return f"{value:.{_DECIMALS[name]}f}"
-
-
 def _ar1(rng, n: int, sigma: float) -> np.ndarray:
-    noise = rng.normal(0.0, sigma * np.sqrt(1.0 - _AR_COEF**2), size=n)
-    out = np.empty(n)
-    out[0] = rng.normal(0.0, sigma)
-    for h in range(1, n):
-        out[h] = _AR_COEF * out[h - 1] + noise[h]
-    return out
+    noise = rng.normal(0.0, sigma * np.sqrt(1.0 - _AR_COEF**2), size=n).tolist()
+    x = float(rng.normal(0.0, sigma))
+    out = [x]
+    for e in noise[1:]:
+        x = _AR_COEF * x + e
+        out.append(x)
+    return np.array(out)
 
 
 def _signal_profiles(n_hours: int, death_hour: float | None, strength: float):
@@ -170,7 +176,7 @@ def _sample_gcs(rng, p_low: np.ndarray) -> dict[str, np.ndarray]:
     return values
 
 
-def _generate_stay(cfg: SynthConfig, rows: dict[str, list[list[str]]], rng, stay_id: int, patient_id: str,
+def _generate_stay(cfg: SynthConfig, out: dict[str, list], rng, stay_id: int, patient_id: str,
                    underage: bool, sparse: bool, force_alive: bool) -> None:
     s = cfg.signal_strength
     n_hours = int(rng.integers(cfg.hours_range[0], cfg.hours_range[1] + 1))
@@ -204,7 +210,7 @@ def _generate_stay(cfg: SynthConfig, rows: dict[str, list[list[str]]], rng, stay
         dx_w = dx_w * boost
     dx = _ADMISSION_DX[rng.choice(len(_ADMISSION_DX), p=dx_w / dx_w.sum())]
 
-    rows[PATIENT].append([
+    out[PATIENT].append([
         str(stay_id), patient_id, age_text, gender, ethnicity, dx,
         "Expired" if dies_in_hospital else "Alive",
         str(discharge_offset), str(hospital_offset),
@@ -214,8 +220,8 @@ def _generate_stay(cfg: SynthConfig, rows: dict[str, list[list[str]]], rng, stay
     death_hour = (death_offset / 60.0) if death_offset is not None else None
     level, pattern, ramp = _signal_profiles(n_hours, death_hour, strength)
 
-    measurement_rows: list[tuple[str, list[str]]] = []  # (table, row)
-
+    vital_lines: list[str] = []
+    lab_lines: list[str] = []
     for name in VITAL_VARIABLES + LAB_VARIABLES:
         sigma = _SPREAD[name]
         shift = (
@@ -228,42 +234,50 @@ def _generate_stay(cfg: SynthConfig, rows: dict[str, list[list[str]]], rng, stay
         keep = rng.random(n_hours) >= cfg.missingness
         minutes = rng.integers(0, 60, size=n_hours)
         extra_draw = rng.random(n_hours)
-        for h in range(n_hours):
-            if is_lab and h % _LAB_EVERY_HOURS != 0:
-                continue
-            if not keep[h]:
-                continue
-            offset = h * 60 + int(minutes[h])
-            value = _fmt(name, series[h])
-            if not is_lab and extra_draw[h] < 0.1:
-                # second measurement in the same bin; the later one must win
-                early = _fmt(name, float(np.clip(series[h] + rng.normal(0, sigma / 2), *_RANGE[name])))
-                measurement_rows.append((NURSECHARTING, [str(stay_id), str(max(offset - 20, h * 60)), name, early]))
-            if extra_draw[h] > 0.99:
-                value = f">{value}"  # censored entry, unparseable on purpose
-            measurement_rows.append((LAB if is_lab else NURSECHARTING, [str(stay_id), str(offset), name, value]))
+        kept = np.flatnonzero(keep)
+        if is_lab:
+            kept = kept[kept % _LAB_EVERY_HOURS == 0]
+        offsets = kept * 60 + minutes[kept]
+        fmt = f"%.{_DECIMALS[name]}f"
+        values = [fmt % v for v in series[kept].tolist()]
+        for i in np.flatnonzero(extra_draw[kept] > 0.99).tolist():
+            values[i] = ">" + values[i]  # censored entry, unparseable on purpose
+        lines = [f"{stay_id},{offset},{name},{value}\n" for offset, value in zip(offsets.tolist(), values)]
+        if not is_lab:
+            # a second measurement in the same bin, written just before the main one; the later one must win
+            twice = np.flatnonzero(extra_draw[kept] < 0.1)
+            early = np.clip(series[kept[twice]] + rng.normal(0, sigma / 2, size=len(twice)), *_RANGE[name])
+            early_offsets = np.maximum(offsets[twice] - 20, kept[twice] * 60)
+            for i, offset, value in zip(twice.tolist(), early_offsets.tolist(), early.tolist()):
+                lines[i] = f"{stay_id},{offset},{name},{fmt % value}\n" + lines[i]
+        (lab_lines if is_lab else vital_lines).extend(lines)
 
+    static_lines: list[str] = []
     for name in STATIC_VARIABLES:
         if rng.random() >= cfg.missingness:
             value = float(np.clip(rng.normal(DEFAULT_NORMAL_VALUES[name], _SPREAD[name]), *_RANGE[name]))
-            measurement_rows.append(
-                (NURSECHARTING, [str(stay_id), str(int(rng.integers(0, 30))), name, _fmt(name, value)])
-            )
+            offset = int(rng.integers(0, 30))
+            static_lines.append(f"{stay_id},{offset},{name},{value:.{_DECIMALS[name]}f}\n")
 
     p_low = np.clip(0.05 + 0.12 * level + 0.35 * ramp + 0.18 * np.maximum(pattern, 0.0), 0.0, 0.92)
     gcs = _sample_gcs(rng, p_low)
     gcs_keep = {name: rng.random(n_hours) >= cfg.missingness for name in GCS_VARIABLES}
     gcs_minutes = rng.integers(0, 60, size=(len(GCS_VARIABLES), n_hours))
+    gcs_lines: list[str] = []
     for gi, name in enumerate(GCS_VARIABLES):
-        for h in range(n_hours):
-            if gcs_keep[name][h]:
-                offset = h * 60 + int(gcs_minutes[gi, h])
-                measurement_rows.append((NURSECHARTING, [str(stay_id), str(offset), name, str(int(gcs[name][h]))]))
+        kept = np.flatnonzero(gcs_keep[name])
+        offsets = kept * 60 + gcs_minutes[gi, kept]
+        gcs_lines += [f"{stay_id},{offset},{name},{value}\n"
+                      for offset, value in zip(offsets.tolist(), gcs[name][kept].tolist())]
 
-    if sparse:
-        measurement_rows = measurement_rows[:_SPARSE_RECORD_COUNT]
-    for table, row in measurement_rows:
-        rows[table].append(row)
+    budget = _SPARSE_RECORD_COUNT
+    for table, lines in ((NURSECHARTING, vital_lines), (LAB, lab_lines), (NURSECHARTING, static_lines),
+                         (NURSECHARTING, gcs_lines)):
+        text = "".join(lines)
+        if sparse:  # a sparse stay keeps only its first rows, across the tables in this order
+            text = "".join(text.splitlines(keepends=True)[:budget])
+            budget -= text.count("\n")
+        out[table].append(text)
 
     codes: list[str] = []
     draws = rng.random(N_PHENOTYPES)
@@ -276,7 +290,7 @@ def _generate_stay(cfg: SynthConfig, rows: dict[str, list[list[str]]], rng, stay
         merged = f"{codes[0]}, {codes[1]}"
         codes = [merged] + codes[2:]
     for code in codes:
-        rows[DIAGNOSIS].append([str(stay_id), code])
+        out[DIAGNOSIS].append([str(stay_id), code])
 
 
 def generate(cfg: SynthConfig, out_dir) -> dict[str, Path]:
@@ -293,15 +307,16 @@ def generate(cfg: SynthConfig, out_dir) -> dict[str, Path]:
     sparse = set(order[k_under:k_under + k_sparse].tolist())
     multi = set(order[k_under + k_sparse:k_under + k_sparse + k_multi].tolist())
 
-    rows: dict[str, list[list[str]]] = {table: [] for table in TABLE_FILES}
+    # patient and diagnosis rows are cell lists for csv.writer; lab and nurseCharting hold finished CSV text
+    out: dict[str, list] = {table: [] for table in TABLE_FILES}
     for i in range(cfg.n_patients):
         rng = np.random.default_rng((cfg.seed, 1, i))
         patient_id = str(1000 + i)
-        _generate_stay(cfg, rows, rng, stay_id=100000 + i, patient_id=patient_id,
+        _generate_stay(cfg, out, rng, stay_id=100000 + i, patient_id=patient_id,
                        underage=i in underage, sparse=i in sparse, force_alive=False)
         if i in multi:
             rng2 = np.random.default_rng((cfg.seed, 2, i))
-            _generate_stay(cfg, rows, rng2, stay_id=500000 + i, patient_id=patient_id,
+            _generate_stay(cfg, out, rng2, stay_id=500000 + i, patient_id=patient_id,
                            underage=i in underage, sparse=False, force_alive=True)
 
     paths = {table: out_dir / name for table, name in TABLE_FILES.items()}
@@ -309,7 +324,10 @@ def generate(cfg: SynthConfig, out_dir) -> dict[str, Path]:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(TABLE_COLUMNS[table])
-            writer.writerows(rows[table])
+            if table in (LAB, NURSECHARTING):
+                fh.write("".join(out[table]))
+            else:
+                writer.writerows(out[table])
     paths["phenotype_map"] = out_dir / "phenotype_map.csv"
     synthetic_catalog().to_file(paths["phenotype_map"])
     return paths

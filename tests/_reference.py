@@ -7,10 +7,15 @@ must stay independent of the package code paths it checks.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
+
+from icubench import synth
+from icubench.ingestion import DIAGNOSIS, LAB, NURSECHARTING, PATIENT, TABLE_COLUMNS, TABLE_FILES
 
 
 def try_parse(value: str):
@@ -283,3 +288,167 @@ def ref_window_copies(rows: np.ndarray, starts, lengths, picks) -> np.ndarray:
     for r, copy in enumerate(copies):
         out[r, T - len(copy):] = copy
     return out
+
+
+# --- The synthetic dump as it was generated row by row: one scalar step per
+# AR(1) hour, one cell list per row and csv.writer over every table.  The
+# constants, signal profiles and GCS draws are the package's own; the rows
+# built from them, and their text, must come out byte for byte the same.
+
+def _ref_ar1(rng, n: int, sigma: float) -> np.ndarray:
+    noise = rng.normal(0.0, sigma * np.sqrt(1.0 - synth._AR_COEF**2), size=n)
+    out = np.empty(n)
+    out[0] = rng.normal(0.0, sigma)
+    for h in range(1, n):
+        out[h] = synth._AR_COEF * out[h - 1] + noise[h]
+    return out
+
+
+def _ref_fmt(name: str, value: float) -> str:
+    return f"{value:.{synth._DECIMALS[name]}f}"
+
+
+def _ref_stay(cfg, rows, rng, stay_id: int, patient_id: str, underage: bool, sparse: bool, force_alive: bool):
+    s = cfg.signal_strength
+    n_hours = int(rng.integers(cfg.hours_range[0], cfg.hours_range[1] + 1))
+
+    u = rng.random()
+    dies_in_unit = (not force_alive) and u < cfg.decomp_rate
+    dies_in_hospital = (not force_alive) and u < cfg.mortality_rate
+    discharge_offset = n_hours * 60
+    if dies_in_unit:
+        death_offset = discharge_offset
+        hospital_offset = discharge_offset
+    elif dies_in_hospital:
+        death_offset = discharge_offset + 720 + int(rng.exponential(2880))
+        hospital_offset = death_offset
+    else:
+        death_offset = None
+        hospital_offset = discharge_offset + int(rng.integers(0, 7 * 1440))
+
+    if underage:
+        age_text = str(int(rng.integers(16, 19)))
+    elif rng.random() < 0.02:
+        age_text = "> 89"
+    else:
+        age_text = str(int(rng.integers(19, 90)))
+
+    gender = synth._GENDERS[rng.choice(2, p=synth._GENDER_P)]
+    ethnicity = synth._ETHNICITIES[rng.choice(len(synth._ETHNICITIES), p=synth._ETHNICITY_P)]
+    dx_w = np.array(synth._ADMISSION_DX_P)
+    if dies_in_hospital:
+        boost = np.array([1.0 + 0.2 * s if d in synth._SEVERE_DX else 1.0 for d in synth._ADMISSION_DX])
+        dx_w = dx_w * boost
+    dx = synth._ADMISSION_DX[rng.choice(len(synth._ADMISSION_DX), p=dx_w / dx_w.sum())]
+
+    rows[PATIENT].append([
+        str(stay_id), patient_id, age_text, gender, ethnicity, dx,
+        "Expired" if dies_in_hospital else "Alive",
+        str(discharge_offset), str(hospital_offset),
+    ])
+
+    strength = s if dies_in_hospital else 0.0
+    death_hour = (death_offset / 60.0) if death_offset is not None else None
+    level, pattern, ramp = synth._signal_profiles(n_hours, death_hour, strength)
+
+    measurement_rows = []  # (table, row)
+
+    for name in synth.VITAL_VARIABLES + synth.LAB_VARIABLES:
+        sigma = synth._SPREAD[name]
+        shift = (
+            synth._LEVEL_SHIFT.get(name, 0.0) * level
+            + synth._PATTERN_SHIFT.get(name, 0.0) * pattern
+            + synth._RAMP_SHIFT.get(name, 0.0) * ramp
+        ) * sigma
+        normal = synth.DEFAULT_NORMAL_VALUES[name]
+        series = np.clip(normal + _ref_ar1(rng, n_hours, sigma) + shift, *synth._RANGE[name])
+        is_lab = name in synth.LAB_VARIABLES
+        keep = rng.random(n_hours) >= cfg.missingness
+        minutes = rng.integers(0, 60, size=n_hours)
+        extra_draw = rng.random(n_hours)
+        for h in range(n_hours):
+            if is_lab and h % synth._LAB_EVERY_HOURS != 0:
+                continue
+            if not keep[h]:
+                continue
+            offset = h * 60 + int(minutes[h])
+            value = _ref_fmt(name, series[h])
+            if not is_lab and extra_draw[h] < 0.1:
+                early = _ref_fmt(name, float(np.clip(series[h] + rng.normal(0, sigma / 2), *synth._RANGE[name])))
+                measurement_rows.append((NURSECHARTING, [str(stay_id), str(max(offset - 20, h * 60)), name, early]))
+            if extra_draw[h] > 0.99:
+                value = f">{value}"
+            measurement_rows.append((LAB if is_lab else NURSECHARTING, [str(stay_id), str(offset), name, value]))
+
+    for name in synth.STATIC_VARIABLES:
+        if rng.random() >= cfg.missingness:
+            value = float(np.clip(rng.normal(synth.DEFAULT_NORMAL_VALUES[name], synth._SPREAD[name]),
+                                  *synth._RANGE[name]))
+            measurement_rows.append(
+                (NURSECHARTING, [str(stay_id), str(int(rng.integers(0, 30))), name, _ref_fmt(name, value)])
+            )
+
+    p_low = np.clip(0.05 + 0.12 * level + 0.35 * ramp + 0.18 * np.maximum(pattern, 0.0), 0.0, 0.92)
+    gcs = synth._sample_gcs(rng, p_low)
+    gcs_keep = {name: rng.random(n_hours) >= cfg.missingness for name in synth.GCS_VARIABLES}
+    gcs_minutes = rng.integers(0, 60, size=(len(synth.GCS_VARIABLES), n_hours))
+    for gi, name in enumerate(synth.GCS_VARIABLES):
+        for h in range(n_hours):
+            if gcs_keep[name][h]:
+                offset = h * 60 + int(gcs_minutes[gi, h])
+                measurement_rows.append((NURSECHARTING, [str(stay_id), str(offset), name, str(int(gcs[name][h]))]))
+
+    if sparse:
+        measurement_rows = measurement_rows[:synth._SPARSE_RECORD_COUNT]
+    for table, row in measurement_rows:
+        rows[table].append(row)
+
+    codes = []
+    draws = rng.random(synth.N_PHENOTYPES)
+    for i, rate in enumerate(synth.PHENOTYPE_RATES):
+        if draws[i] < rate:
+            codes.append(f"{100 + i}.{int(rng.integers(0, synth._CODES_PER_CATEGORY))}")
+    if rng.random() < 0.1:
+        codes.append(synth._UNMAPPED_CODES[int(rng.integers(0, len(synth._UNMAPPED_CODES)))])
+    if len(codes) >= 2 and rng.random() < 0.05:
+        merged = f"{codes[0]}, {codes[1]}"
+        codes = [merged] + codes[2:]
+    for code in codes:
+        rows[DIAGNOSIS].append([str(stay_id), code])
+
+
+def ref_generate(cfg, out_dir) -> dict[str, Path]:
+    """The dump of ``cfg`` written row by row into ``out_dir``; the same
+    table name -> path mapping as ``synth.generate``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    layout_rng = np.random.default_rng((cfg.seed, 0))
+    order = layout_rng.permutation(cfg.n_patients)
+    k_under = int(round(cfg.n_patients * cfg.underage_fraction))
+    k_sparse = int(round(cfg.n_patients * cfg.sparse_fraction))
+    k_multi = int(round(cfg.n_patients * cfg.multi_stay_fraction))
+    underage = set(order[:k_under].tolist())
+    sparse = set(order[k_under:k_under + k_sparse].tolist())
+    multi = set(order[k_under + k_sparse:k_under + k_sparse + k_multi].tolist())
+
+    rows = {table: [] for table in TABLE_FILES}
+    for i in range(cfg.n_patients):
+        rng = np.random.default_rng((cfg.seed, 1, i))
+        patient_id = str(1000 + i)
+        _ref_stay(cfg, rows, rng, stay_id=100000 + i, patient_id=patient_id,
+                  underage=i in underage, sparse=i in sparse, force_alive=False)
+        if i in multi:
+            rng2 = np.random.default_rng((cfg.seed, 2, i))
+            _ref_stay(cfg, rows, rng2, stay_id=500000 + i, patient_id=patient_id,
+                      underage=i in underage, sparse=False, force_alive=True)
+
+    paths = {table: out_dir / name for table, name in TABLE_FILES.items()}
+    for table, path in paths.items():
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(TABLE_COLUMNS[table])
+            writer.writerows(rows[table])
+    paths["phenotype_map"] = out_dir / "phenotype_map.csv"
+    synth.synthetic_catalog().to_file(paths["phenotype_map"])
+    return paths

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icubench import ingestion
+from icubench import cli, ingestion
 from icubench.cli import _build_parser, main
 from icubench.experiment import ExperimentConfig
 from icubench.ingestion import TABLE_FILES, load_dataset
@@ -50,6 +50,20 @@ class TestSynthCommand:
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    def test_every_synth_config_field_is_a_flag(self, tmp_path, monkeypatch):
+        # every field is set off its default, so a field without a flag, or a flag not passed on, fails here
+        want = SynthConfig(n_patients=7, hours_range=(3, 5), missingness=0.2, mortality_rate=0.3, decomp_rate=0.1,
+                           signal_strength=2.0, seed=4, underage_fraction=0.05, sparse_fraction=0.06,
+                           multi_stay_fraction=0.07)
+        assert all(getattr(want, f.name) != f.default for f in dataclasses.fields(SynthConfig))
+        seen = []
+        monkeypatch.setattr(cli, "generate", lambda cfg, out: seen.append(cfg) or {})
+        assert main(["synth", "--patients", "7", "--hours-min", "3", "--hours-max", "5", "--missingness", "0.2",
+                     "--mortality-rate", "0.3", "--decomp-rate", "0.1", "--signal", "2", "--seed", "4",
+                     "--underage-fraction", "0.05", "--sparse-fraction", "0.06", "--multi-stay-fraction", "0.07",
+                     "--out", str(tmp_path / "d")]) == 0
+        assert seen == [want]
 
 
 class TestCohortCommand:
@@ -177,6 +191,40 @@ class TestBadInput:
         cfg.write_text(f"task=los\ndata_dir={tmp_path}\nnormal_values_file={normals}\n", encoding="utf-8")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert str(normals) in capsys.readouterr().err
+
+
+    @pytest.fixture
+    def a_file(self, tmp_path):
+        path = tmp_path / "a_file"
+        path.write_text("", encoding="utf-8")
+        return path
+
+    def test_synth_out_that_is_a_file_is_config_error(self, a_file, capsys):
+        assert main(["synth", "--patients", "5", "--out", str(a_file)]) == 2
+        assert f"config error: cannot write output {a_file}: [Errno 17] File exists" in capsys.readouterr().err
+
+    def test_cohort_out_under_a_file_is_config_error(self, tiny_dump, a_file, capsys):
+        out = a_file / "audit"
+        assert main(["cohort", "--data-dir", str(tiny_dump), "--out", str(out)]) == 2
+        assert f"config error: cannot write output {out}: [Errno 20] Not a directory" in capsys.readouterr().err
+
+    def test_run_out_that_is_a_file_is_config_error_before_any_work(self, tiny_dump, a_file, capsys, monkeypatch):
+        # the run used to train every fold and then fail writing its reports
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("run_experiment was called"))
+        assert main(["run", "--task", "los", "--model", "lr", "--data-dir", str(tiny_dump),
+                     "--out", str(a_file)]) == 2
+        assert f"config error: cannot write output {a_file}: [Errno 17] File exists" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_compare_out_that_cannot_be_written_is_config_error(self, tmp_path, capsys, where):
+        report = tmp_path / "report.json"
+        folds = [{"metrics": {"mae": 1.0}}, {"metrics": {"mae": 2.0}}]
+        report.write_text(json.dumps({"task": "los", "seed": 1, "folds": folds, "aggregate": {"mae": {}}}),
+                          encoding="utf-8")
+        out = tmp_path / "missing" / "table.txt" if where == "missing-dir" else tmp_path
+        assert main(["compare", str(report), str(report), "--out", str(out)]) == 2
+        assert f"config error: cannot write output {out}: " in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
 
 class TestEdgeTokenFuzz:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _instances import uniform_set
+from _reference import ref_generate
 from icubench.cohort import select_base_cohort
 from icubench.errors import ConfigError
 from icubench.ingestion import load_dataset
@@ -28,6 +29,29 @@ class TestDeterminismAndValidity:
         a = read_all(generate(SynthConfig(n_patients=40, seed=1), tmp_path / "a"))
         b = read_all(generate(SynthConfig(n_patients=40, seed=2), tmp_path / "b"))
         assert a != b
+
+    @pytest.mark.parametrize("cfg", [
+        SynthConfig(n_patients=30, hours_range=(1, 3), missingness=0.5, sparse_fraction=1.0, seed=8),
+        SynthConfig(n_patients=40, hours_range=(5, 13), seed=12, underage_fraction=0.2,
+                    multi_stay_fraction=0.3, sparse_fraction=0.1),
+        SynthConfig(n_patients=20, hours_range=(1, 1), seed=9, multi_stay_fraction=0.5),
+        SynthConfig(n_patients=20, hours_range=(7, 11), missingness=0.0, seed=6, sparse_fraction=0.2),
+        SynthConfig(n_patients=20, hours_range=(7, 11), missingness=1.0, seed=6, sparse_fraction=0.2),
+        SynthConfig(n_patients=20, hours_range=(20, 30), signal_strength=0.0, seed=13),
+        SynthConfig(n_patients=40, hours_range=(49, 60), signal_strength=1.5, seed=1),
+        SynthConfig(n_patients=40, multi_stay_fraction=0.1, seed=1),
+        SynthConfig(n_patients=40, hours_range=(72, 168), missingness=0.15, underage_fraction=0.05,
+                    sparse_fraction=0.05, multi_stay_fraction=0.1, signal_strength=2.0, seed=1),
+    ], ids=["sparse-short", "multi-underage", "one-hour", "missing-none", "missing-all", "no-signal",
+            "mort24-bilstm", "pheno-bilstm-ohe", "ingest-lr"])
+    def test_matches_reference_bytes(self, tmp_path, cfg):
+        # on the 1-3 hour sparse stays the 10-row cut lands in vitals, labs, statics and GCS, or not at all;
+        # stays of 7-11 hours are not a multiple of the 6-hour lab interval
+        got = read_all(generate(cfg, tmp_path / "got"))
+        want = read_all(ref_generate(cfg, tmp_path / "want"))
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name] == want[name], name
 
     def test_parses_with_zero_skipped_rows(self, small_dump):
         dataset = load_dataset(small_dump)
